@@ -1,7 +1,6 @@
 #include "bgp/speaker.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 namespace bgp {

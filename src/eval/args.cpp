@@ -1,5 +1,7 @@
 #include "eval/args.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -7,16 +9,27 @@
 namespace eval {
 namespace {
 
-bool parse_ll(const std::string& text, long long& out) {
+// Integer parsers reject out-of-range input instead of wrapping or
+// narrowing it: strtoull would otherwise read "-1" as 2^64 - 1.
+
+bool parse_int(const std::string& text, int& out) {
   char* end = nullptr;
-  out = std::strtoll(text.c_str(), &end, 10);
-  return end != text.c_str() && *end == '\0';
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      value < INT_MIN || value > INT_MAX) {
+    return false;
+  }
+  out = static_cast<int>(value);
+  return true;
 }
 
 bool parse_ull(const std::string& text, unsigned long long& out) {
+  if (text.find('-') != std::string::npos) return false;
   char* end = nullptr;
+  errno = 0;
   out = std::strtoull(text.c_str(), &end, 10);
-  return end != text.c_str() && *end == '\0';
+  return end != text.c_str() && *end == '\0' && errno != ERANGE;
 }
 
 bool parse_double(const std::string& text, double& out) {
@@ -51,12 +64,7 @@ const Args::Spec* Args::find(const std::string& name) const {
 
 void Args::opt(const std::string& name, int* target, const std::string& help) {
   add({name, help, std::to_string(*target), true,
-       [target](const std::string& v) {
-         long long parsed = 0;
-         if (!parse_ll(v, parsed)) return false;
-         *target = static_cast<int>(parsed);
-         return true;
-       }});
+       [target](const std::string& v) { return parse_int(v, *target); }});
 }
 
 void Args::opt(const std::string& name, std::uint64_t* target,
@@ -101,9 +109,9 @@ void Args::opt(const std::string& name, std::vector<int>* target,
   add({name, help, def.str(), true, [target](const std::string& v) {
          std::vector<int> parsed;
          for (const std::string& item : split_csv(v)) {
-           long long value = 0;
-           if (!parse_ll(item, value)) return false;
-           parsed.push_back(static_cast<int>(value));
+           int value = 0;
+           if (!parse_int(item, value)) return false;
+           parsed.push_back(value);
          }
          *target = std::move(parsed);
          return true;

@@ -1,18 +1,16 @@
 // Stable-address growable element store.
 //
-// std::vector reallocation moves elements and invalidates every pointer —
-// fatal once the parallel executor lets one thread append (under a lock)
-// while others read elements they already own indices for. ChunkedStore
-// grows by whole chunks behind a fixed top-level directory, so an element's
-// address never changes for the store's lifetime, elements are never moved
-// or copied, and a reader holding index i needs no synchronization with a
-// concurrent append (the append touches only a later chunk; publication of
-// the chunk pointer is ordered by whatever lock or barrier handed the
-// reader its index — the executor's quantum barrier in practice).
+// std::vector reallocation moves every element and invalidates every
+// pointer into the array, and for a moment holds both the old and the new
+// buffer. ChunkedStore grows by whole chunks behind a fixed top-level
+// directory, so an element's address never changes for the store's
+// lifetime, elements are never moved or copied, and growth costs one new
+// chunk rather than a copy of the whole array.
 //
-// Used for the event queue's cancellation slots and the BGP intern tables'
-// entry pools, which workers read concurrently while the coordinator (or
-// another worker, under the table lock) appends.
+// Used for the event queue's cancellation slots, the BGP intern tables'
+// entry pools and the RIB candidate arena: a Candidate pointer returned by
+// RibEntry::best() stays valid while other entries grow the arena, and the
+// pools' footprint (and so peak RSS) grows a chunk at a time.
 #pragma once
 
 #include <cstddef>

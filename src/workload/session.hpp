@@ -7,11 +7,11 @@
 // `bgmp.tree_edge_load.by_domain`, and keeps the `workload.*` instruments
 // current.
 //
-// Ticks are applied on the coordinator thread *between* event-queue
-// quanta (advance_to() never runs events), exactly like chaos
-// perturbations — which is why a workload run is byte-identical at any
-// --threads: the parallel executor only ever sees the already-scheduled
-// protocol consequences.
+// Ticks are applied *between* event-queue runs (advance_to() never runs
+// events), exactly like chaos perturbations: a tick's joins and leaves
+// only schedule protocol work, which the queue then runs in its
+// deterministic (time, seq) order, so a workload run is a pure function
+// of its seed.
 #pragma once
 
 #include <cstdint>

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/domain.hpp"
 #include "core/internet.hpp"
+#include "eval/args.hpp"
 #include "eval/masc_sim.hpp"
 #include "eval/scenario.hpp"
 #include "eval/tree_model.hpp"
@@ -443,6 +446,66 @@ TEST(MascSim, RejectsEmptyHierarchy) {
   MascSimParams p;
   p.top_level_domains = 0;
   EXPECT_THROW((void)run_masc_sim(p), std::invalid_argument);
+}
+
+/// Parses `--<flag> <value>` against an Args with one int option
+/// (--domains), one uint64 option (--seed) and one int list (--ladder).
+/// Returns the exit code on failure, -1 on success.
+struct ParsedArgs {
+  int domains = 7;
+  std::uint64_t seed = 1;
+  std::vector<int> ladder;
+  int exit_code = -1;
+};
+
+ParsedArgs parse_one(const std::string& flag, const std::string& value) {
+  ParsedArgs out;
+  Args args("eval_test", "args parsing");
+  args.opt("--domains", &out.domains, "domain count");
+  args.opt("--seed", &out.seed, "seed");
+  args.opt("--ladder", &out.ladder, "domain counts");
+  std::string program = "eval_test";
+  std::string f = flag;
+  std::string v = value;
+  char* argv[] = {program.data(), f.data(), v.data()};
+  if (!args.parse(3, argv)) out.exit_code = args.exit_code();
+  return out;
+}
+
+TEST(Args, AcceptsInRangeIntegers) {
+  EXPECT_EQ(parse_one("--domains", "2147483647").domains, 2147483647);
+  EXPECT_EQ(parse_one("--domains", "-3").domains, -3);
+  EXPECT_EQ(parse_one("--seed", "18446744073709551615").seed,
+            18446744073709551615ULL);
+  EXPECT_EQ(parse_one("--ladder", "256,1024").ladder,
+            (std::vector<int>{256, 1024}));
+}
+
+TEST(Args, RejectsNegativeUnsignedValue) {
+  // strtoull alone reads "-1" as 2^64 - 1.
+  const ParsedArgs parsed = parse_one("--seed", "-1");
+  EXPECT_EQ(parsed.exit_code, 2);
+  EXPECT_EQ(parsed.seed, 1u);
+}
+
+TEST(Args, RejectsIntValueThatWouldNarrow) {
+  // 2^32 + 1 fits a long long but would narrow to 1 as an int.
+  ParsedArgs parsed = parse_one("--domains", "4294967297");
+  EXPECT_EQ(parsed.exit_code, 2);
+  EXPECT_EQ(parsed.domains, 7);
+  parsed = parse_one("--ladder", "256,4294967297");
+  EXPECT_EQ(parsed.exit_code, 2);
+  EXPECT_TRUE(parsed.ladder.empty());
+}
+
+TEST(Args, RejectsValueOutsideTheParserRange) {
+  // Past what strtoll/strtoull can represent: they clamp and set ERANGE.
+  ParsedArgs parsed = parse_one("--seed", "18446744073709551616");
+  EXPECT_EQ(parsed.exit_code, 2);
+  EXPECT_EQ(parsed.seed, 1u);
+  parsed = parse_one("--domains", "99999999999999999999");
+  EXPECT_EQ(parsed.exit_code, 2);
+  EXPECT_EQ(parsed.domains, 7);
 }
 
 }  // namespace
