@@ -8,7 +8,8 @@
 //                  [--check-every K] [--loss P] [--reorder P]
 //                  [--groups G] [--joins J] [--out FILE]
 //                  [--check] [--workload]
-//                  [--inject-skip-waiting] [--expect-violations]
+//                  [--inject-skip-waiting] [--inject-lost-update]
+//                  [--expect-violations]
 //                  [--telemetry] [--telemetry-interval SEC]
 //                  [--span-sample RATE]
 //
@@ -27,7 +28,10 @@
 // --check exits 1 unless every seed passes (zero violations + final
 // quiescence). --inject-skip-waiting collapses the MASC waiting period to
 // ~zero (and forces --check-every 1): the deliberate §4.1 bug the overlap
-// checker must catch. --expect-violations inverts the gate — exit 0 only
+// checker must catch. --inject-lost-update drops one BGP update on one
+// live session after the final heal: the divergence the
+// bgp-session-consistency checker must catch. --expect-violations inverts
+// the gate — exit 0 only
 // if every seed reports at least one violation (the CI detection
 // self-test). On any violation the run's JSON is also written to
 // chaos-violation-seed<S>.json for artifact upload.
@@ -72,6 +76,8 @@ int main(int argc, char** argv) {
             "through the schedule");
   args.flag("--inject-skip-waiting", &inject_skip_waiting,
             "collapse the MASC waiting period (checker self-test bug)");
+  args.flag("--inject-lost-update", &base.inject_lost_update,
+            "lose one BGP update after the final heal (checker self-test)");
   args.flag("--expect-violations", &expect_violations,
             "invert the gate: require a violation on every seed");
   args.flag("--telemetry", &telemetry,
@@ -159,6 +165,7 @@ int main(int argc, char** argv) {
                 << (config.inject_skip_waiting_period
                         ? " --inject-skip-waiting"
                         : "")
+                << (config.inject_lost_update ? " --inject-lost-update" : "")
                 << "\n";
       const std::string dump =
           "chaos-violation-seed" + std::to_string(config.seed) + ".json";

@@ -48,9 +48,10 @@
 // baseline rung with matching parameters (a flat old-style report counts
 // as one rung) must reproduce the converged RIB digest exactly, and the
 // deterministic work counters (events run, messages sent, BGP updates)
-// may grow at most FRAC (default 0.25) before the exit code turns
-// nonzero. Wall-clock throughput and RSS are reported but not gated —
-// they are properties of the host, not of the code under test.
+// and routing-state bytes per domain may grow at most FRAC (default 0.25)
+// before the exit code turns nonzero. Wall-clock throughput and RSS are
+// reported but not gated — they are properties of the host, not of the
+// code under test.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -463,8 +464,9 @@ int check_one(const Results& now, const std::string& base, double tolerance,
     }
   };
   // Deterministic (hardware-independent) quantities: the message economy
-  // may grow at most `tolerance` before the check fails.
-  const auto bounded = [&](const char* key, std::uint64_t current) {
+  // and the routing-state bytes may grow at most `tolerance` before the
+  // check fails.
+  const auto bounded = [&](const char* key, auto current) {
     double expected = 0.0;
     if (!scrape(base, key, expected)) {
       std::cerr << "macro_scenario: baseline lacks \"" << key << "\"\n";
@@ -474,8 +476,8 @@ int check_one(const Results& now, const std::string& base, double tolerance,
     if (static_cast<double>(current) > expected * (1.0 + tolerance)) {
       std::cerr << "macro_scenario: " << key << " regressed > "
                 << tolerance * 100 << "%: baseline "
-                << static_cast<std::uint64_t>(expected) << ", now " << current
-                << "\n";
+                << static_cast<decltype(current)>(expected) << ", now "
+                << current << "\n";
       ++failures;
     }
   };
@@ -498,6 +500,7 @@ int check_one(const Results& now, const std::string& base, double tolerance,
   bounded("events_run", now.events_run);
   bounded("messages_sent", now.messages_sent);
   bounded("bgp_updates_sent", now.bgp_updates_sent);
+  bounded("state_bytes_per_domain", now.state_bytes_per_domain);
   // Wall-clock throughput varies with the host; report always, and gate
   // only when an explicit floor was requested (--eps-floor). The floor is
   // deliberately loose — it exists to catch a scheduler regression giving

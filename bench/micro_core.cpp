@@ -351,6 +351,37 @@ void BM_BgpPropagation(benchmark::State& state) {
 }
 BENCHMARK(BM_BgpPropagation)->Unit(benchmark::kMillisecond);
 
+void BM_SpeakerFanout(benchmark::State& state) {
+  // One hub with N customers: each iteration is one best-path change at
+  // the hub (a group route originated, then withdrawn), exported to and
+  // delivered at every customer. The customers share one export class, so
+  // the hub's export decision is made once per change, not once per peer.
+  const int customers = static_cast<int>(state.range(0));
+  net::EventQueue events;
+  net::Network network(events);
+  bgp::Speaker hub(network, 1, "hub");
+  std::vector<std::unique_ptr<bgp::Speaker>> leaves;
+  for (int i = 0; i < customers; ++i) {
+    leaves.push_back(std::make_unique<bgp::Speaker>(
+        network, static_cast<bgp::DomainId>(i + 2), "c" + std::to_string(i)));
+    bgp::Speaker::connect(hub, *leaves.back(), bgp::Relationship::kCustomer,
+                          net::SimTime::milliseconds(10),
+                          bgp::ExportPolicy::kGaoRexford,
+                          bgp::ExportPolicy::kGaoRexford);
+  }
+  events.run();
+  const Prefix prefix = Prefix::parse("224.1.0.0/16");
+  for (auto _ : state) {
+    hub.originate(bgp::RouteType::kGroup, prefix);
+    events.run();
+    hub.withdraw(bgp::RouteType::kGroup, prefix);
+    events.run();
+  }
+  benchmark::DoNotOptimize(leaves.back()->rib(bgp::RouteType::kGroup).size());
+  state.SetItemsProcessed(state.iterations() * 2 * customers);
+}
+BENCHMARK(BM_SpeakerFanout)->Arg(4)->Arg(64)->Arg(256)->ArgNames({"customers"});
+
 // ------------------------------------------------------- workload engine
 
 // One churn tick of the aggregate end-host layer at the 10k-domain rung's

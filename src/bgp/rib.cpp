@@ -116,11 +116,11 @@ bool RibEntry::reselect(std::uint32_t previous_best,
   if (best_ == CandidateArena::kNil) {
     return previous_best != CandidateArena::kNil;
   }
-  if (previous_best == CandidateArena::kNil) return true;
-  const Route& before = previous_route != nullptr
-                            ? *previous_route
-                            : arena.value(previous_best).route;
-  return arena.value(best_).route != before;
+  if (previous_best == CandidateArena::kNil || best_ != previous_best) {
+    return true;
+  }
+  return previous_route != nullptr &&
+         arena.value(best_).route != *previous_route;
 }
 
 void RibEntry::clear() {

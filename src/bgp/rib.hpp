@@ -192,14 +192,14 @@ class RibEntry {
   [[nodiscard]] std::size_t candidate_count() const { return size_; }
 
  private:
-  // Re-runs the decision process and reports whether the selected route
-  // changed, comparing against the pre-mutation best. `previous_best` is
-  // the old best slot (kNil: none); its contents are read live unless the
-  // mutation clobbered that very slot, in which case the caller saved the
-  // old route and passes it as `previous_route`. Keeps the no-change
-  // detection copy-free on the common paths (new candidate, non-best
-  // overwrite), where the old code made two full Route copies — PathRef
-  // refcount traffic that showed up hot at the 10k rung.
+  // Re-runs the decision process and reports whether the selection
+  // changed: another candidate won (a new next hop, even with an equal
+  // route), or the best slot was overwritten with a different route.
+  // `previous_best` is the old best slot (kNil: none); when the mutation
+  // clobbered or released it, the caller saved the old route and passes it
+  // as `previous_route`. Copy-free on the common paths (new candidate,
+  // non-best overwrite) — Route copies are PathRef refcount traffic that
+  // showed up hot at the 10k rung.
   bool reselect(std::uint32_t previous_best, const Route* previous_route);
   void clear();
 

@@ -1,17 +1,11 @@
 // Hash-consed Route interning.
 //
-// The Adj-RIB-Out is the most duplicated structure in the simulator: every
-// speaker keeps, per peer and per view, the last route it announced — and
-// at Internet scale most of those entries are copies of the same few
-// routes (one per origin, re-announced to dozens of peers). Following the
-// AS-path table (path_table.hpp), whole routes are interned once per
-// thread and the Adj-RIB-Out tries store a 4-byte RouteRef:
-//
-//   * an Adj-RIB-Out trie node shrinks from carrying a full Route to a
-//     4-byte handle, and identical advertisements across peers share one
-//     stored Route;
-//   * hash-consing makes ids canonical (PathRef ids already are, within a
-//     thread), so "does the Adj-RIB-Out already agree?" is an id compare.
+// Following the AS-path table (path_table.hpp), whole routes are interned
+// once per thread and the export-class Adj-RIB-Out tries (speaker.hpp)
+// store a 4-byte RouteRef: a trie slot carries a handle, not a full Route;
+// the same route held by many classes and speakers is stored once; and
+// hash-consing makes ids canonical, so "does the Adj-RIB-Out already
+// agree?" and the flush-time netting check are id compares.
 //
 // Thread-local like the path table: every simulation is confined to one
 // sweep worker thread, so no locks, and ids never cross threads.

@@ -42,6 +42,7 @@ Speaker::Speaker(net::Network& network, DomainId as, std::string name)
                &network.metrics().counter("bgp.routes_announced"),
                &network.metrics().counter("bgp.routes_withdrawn"),
                &network.metrics().counter("bgp.routes_originated"),
+               &network.metrics().counter("bgp.export_evaluations"),
                &network.metrics().histogram(
                    "bgp.route_convergence_latency")} {}
 
@@ -60,18 +61,41 @@ net::ChannelId Speaker::connect(Speaker& a, Speaker& b,
   // A broken peering is a reset transport session, not a lossless pause:
   // both sides flush and resynchronize when it returns.
   a.network_.set_drop_when_down(channel, true);
-  a.add_peer(b, channel, a_sees_b, a_export);
-  b.add_peer(a, channel, reverse(a_sees_b), b_export);
-  a.full_sync(a.peers_.back());
-  b.full_sync(b.peers_.back());
+  const PeerIndex at_a = a.add_peer(b, channel, a_sees_b, a_export);
+  const PeerIndex at_b = b.add_peer(a, channel, reverse(a_sees_b), b_export);
+  a.establish(at_a);
+  b.establish(at_b);
   return channel;
 }
 
 PeerIndex Speaker::add_peer(Speaker& peer, net::ChannelId channel,
                             Relationship rel, ExportPolicy export_policy) {
-  peers_.push_back(Peer{&peer, channel, rel, export_policy, {}});
+  const ExportKind kind =
+      rel == Relationship::kInternal ? ExportKind::kInternal
+      : export_policy == ExportPolicy::kGaoRexford &&
+              rel != Relationship::kCustomer
+          ? ExportKind::kRestricted
+          : ExportKind::kExternal;
+  auto cls = std::find_if(classes_.begin(), classes_.end(),
+                          [&](const ExportClass& c) { return c.kind == kind; });
+  if (cls == classes_.end()) cls = classes_.insert(cls, ExportClass{kind});
+  const auto as_at = std::lower_bound(cls->member_ases.begin(),
+                                      cls->member_ases.end(), peer.as_);
+  if (as_at == cls->member_ases.end() || *as_at != peer.as_) {
+    cls->member_ases.insert(as_at, peer.as_);
+  }
+  peers_.push_back(Peer{&peer, channel, peer.as_, rel,
+                        static_cast<std::uint8_t>(cls - classes_.begin())});
   peer_channels_.push_back(channel);
   return static_cast<PeerIndex>(peers_.size() - 1);
+}
+
+void Speaker::establish(PeerIndex index) {
+  const BatchScope batch(*this);
+  // The class table must now hold routes only the new member is sent;
+  // existing members filter those out, so they are sent nothing new.
+  sync_class(classes_[peers_[index].export_class]);
+  dirty_ = true;  // the new peer is unsynced: flush sends it its table
 }
 
 PeerIndex Speaker::peer_by_channel(net::ChannelId channel) const {
@@ -124,7 +148,7 @@ void Speaker::set_aggregation(bool enabled) {
   if (aggregation_ == enabled) return;
   aggregation_ = enabled;
   const BatchScope batch(*this);
-  for (Peer& peer : peers_) full_sync(peer);
+  for (ExportClass& cls : classes_) sync_class(cls);
 }
 
 std::optional<LookupResult> Speaker::lookup(RouteType type,
@@ -144,10 +168,7 @@ std::optional<LookupResult> Speaker::lookup(RouteType type,
     LookupResult result;
     result.prefix = hit->first;
     result.route = best.route;
-    if (best.via == kLocalPeer) {
-      result.next_hop = nullptr;
-      result.internal = false;
-    } else {
+    if (best.via != kLocalPeer) {  // else: no next hop, this is the root
       result.next_hop = peers_[best.via].speaker;
       result.internal = best.internal;
     }
@@ -157,21 +178,6 @@ std::optional<LookupResult> Speaker::lookup(RouteType type,
   slot.version = table.version();
   slot.result = out;
   return out;
-}
-
-std::vector<Speaker*> Speaker::peers() const {
-  std::vector<Speaker*> out;
-  out.reserve(peers_.size());
-  for (const Peer& p : peers_) out.push_back(p.speaker);
-  return out;
-}
-
-std::optional<Relationship> Speaker::relationship_with(
-    const Speaker& peer) const {
-  for (const Peer& p : peers_) {
-    if (p.speaker == &peer) return p.relationship;
-  }
-  return std::nullopt;
 }
 
 void Speaker::on_message(net::ChannelId channel,
@@ -185,9 +191,8 @@ void Speaker::on_message(net::ChannelId channel,
 
 void Speaker::on_channel_down(net::ChannelId channel) {
   const PeerIndex index = peer_by_channel(channel);
-  Peer& peer = peers_[index];
-  // Whatever the dead session had not flushed yet dies with it.
-  peer.pending.clear();
+  // Flushes skip the peer while its session is down; re-establishment
+  // sends it the whole class table.
   const BatchScope batch(*this);
   for (int t = 0; t < kRouteTypeCount; ++t) {
     const auto type = static_cast<RouteType>(t);
@@ -204,13 +209,13 @@ void Speaker::on_channel_down(net::ChannelId channel) {
         best_changed(type, prefix, entry);
       }
     }
-    // The peer's session state is gone with the session.
-    peer.advertised[static_cast<std::size_t>(type)].clear();
   }
 }
 
 void Speaker::on_channel_up(net::ChannelId channel) {
-  full_sync(peers_[peer_by_channel(channel)]);
+  const BatchScope batch(*this);
+  peers_[peer_by_channel(channel)].synced = false;
+  dirty_ = true;
 }
 
 void Speaker::handle_update(PeerIndex from, const UpdateMessage& update) {
@@ -264,21 +269,13 @@ void Speaker::handle_update(PeerIndex from, const UpdateMessage& update) {
 }
 
 Speaker::SyncContext Speaker::make_sync_context(
-    RouteType type, const net::Prefix& prefix) const {
-  return make_sync_context(type, prefix, rib(type).find(prefix));
-}
-
-Speaker::SyncContext Speaker::make_sync_context(
     RouteType type, const net::Prefix& prefix, const RibEntry* entry) const {
   SyncContext ctx;
-  if (entry == nullptr) return ctx;
-  ctx.best = entry->best();
+  ctx.best = entry != nullptr ? entry->best() : nullptr;
   if (ctx.best == nullptr) return ctx;
   const Candidate& best = *ctx.best;
   if (best.via != kLocalPeer) {
-    ctx.learned_from = peers_[best.via].speaker;
-    // Gao-Rexford provenance, invariant across peers: LOCAL_PREF >= 100
-    // encodes customer-or-local.
+    // Gao-Rexford provenance: LOCAL_PREF >= 100 encodes customer-or-local.
     ctx.gao_blocked = best.route.local_pref < 100;
     // §4.3.2 aggregation: suppress a more-specific covered by an own
     // origination — the covering group route already provides reachability
@@ -293,28 +290,26 @@ Speaker::SyncContext Speaker::make_sync_context(
   return ctx;
 }
 
-Speaker::Desired Speaker::desired_from_context(const SyncContext& ctx,
-                                               const Peer& peer) const {
-  if (ctx.best == nullptr) return {};
+const Route* Speaker::class_route(SyncContext& ctx,
+                                  const ExportClass& cls) const {
+  metrics_.export_evaluations->inc();
+  if (ctx.best == nullptr) return nullptr;
   const Candidate& best = *ctx.best;
-  // Split horizon: never back to the session it was learned from
-  // (learned_from is null for local routes; peer.speaker never is).
-  if (peer.speaker == ctx.learned_from) return {};
-  if (peer.relationship == Relationship::kInternal) {
-    // iBGP: re-advertise only what we learned externally or originated.
-    if (best.internal) return {};
-    // Path and LOCAL_PREF carried unchanged.
-    return {&best.route, &ctx.internal_ref};
+  if (cls.kind == ExportKind::kInternal) {
+    // iBGP: re-advertise only what we learned externally or originated,
+    // path and LOCAL_PREF unchanged.
+    return best.internal ? nullptr : &best.route;
   }
-  // eBGP export.
-  // Pointless-advertisement suppression: the peer's AS is already on the
-  // path and would reject it.
-  if (best.route.contains_as(peer.speaker->as())) return {};
-  if (ctx.aggregation_suppressed) return {};
-  if (peer.export_policy == ExportPolicy::kGaoRexford &&
-      peer.relationship != Relationship::kCustomer && ctx.gao_blocked) {
-    // Only own/customer routes go to providers and laterals.
-    return {};
+  if (ctx.aggregation_suppressed) return nullptr;
+  // Only own/customer routes go to Gao-Rexford providers and laterals.
+  if (cls.kind == ExportKind::kRestricted && ctx.gao_blocked) return nullptr;
+  // Store the route only if some member's AS is off its path (a path
+  // shorter than the member list always misses one).
+  const PathRef& path = best.route.as_path;
+  if (path.size() >= cls.member_ases.size() &&
+      std::all_of(cls.member_ases.begin(), cls.member_ases.end(),
+                  [&](DomainId as) { return path.contains(as); })) {
+    return nullptr;
   }
   if (!ctx.ebgp_export.has_value()) {
     Route exported = best.route;
@@ -322,87 +317,91 @@ Speaker::Desired Speaker::desired_from_context(const SyncContext& ctx,
     exported.local_pref = 100;  // reset; the importer assigns its own
     ctx.ebgp_export = std::move(exported);
   }
-  return {&*ctx.ebgp_export, &ctx.ebgp_ref};
-}
-
-void Speaker::sync_peer(RouteType type, const net::Prefix& prefix,
-                        Peer& peer) {
-  // No session, no updates: the channel-up full sync reconciles later.
-  if (!network_.is_up(peer.channel)) return;
-  const SyncContext ctx = make_sync_context(type, prefix);
-  apply_desired(type, prefix, peer, desired_from_context(ctx, peer));
+  return &*ctx.ebgp_export;
 }
 
 void Speaker::apply_desired(RouteType type, const net::Prefix& prefix,
-                            Peer& peer, const Desired& desired) {
-  auto& advertised = peer.advertised[static_cast<std::size_t>(type)];
+                            ExportClass& cls, const Route* route) {
+  auto& table = cls.table[static_cast<std::size_t>(type)];
   RouteRef before;
-  if (desired.route != nullptr) {
+  RouteRef latest;
+  if (route != nullptr) {
     // Single descent covers both the agree check and the install: a fresh
     // slot holds the null ref, which never equals an interned id.
-    RouteRef& slot = advertised.get_or_insert(prefix);
-    RouteRef& want = *desired.ref;
-    if (!want.has_value()) want = RouteRef::intern(*desired.route);
-    if (slot == want) return;  // Adj-RIB-Out already agrees
+    RouteRef& slot = table.get_or_insert(prefix);
+    latest = RouteRef::intern(*route);
+    if (slot == latest) return;  // the class table already agrees
     before = slot;
-    slot = want;
+    slot = latest;
   } else {
     // Withdraw: erase returns the previous ref in the same descent; an
     // absent entry already agrees.
-    if (!advertised.erase(prefix, before)) return;
+    if (!table.erase(prefix, before)) return;
   }
-  // Queue the delta; the Adj-RIB-Out above is already updated, so later
-  // syncs in the same batch compute against the post-change state. The
-  // wire message goes out when the outermost batch scope flushes.
-  if (peer.pending.empty()) {
-    dirty_peers_.push_back(static_cast<PeerIndex>(&peer - peers_.data()));
-  }
-  const auto [it, inserted] =
-      peer.pending.try_emplace(std::pair(type, prefix));
+  // Queue the delta; the table above is already updated, so later syncs
+  // in the same batch compute against the post-change state. The wire
+  // messages go out when the outermost batch scope flushes.
+  dirty_ = true;
+  const auto [it, inserted] = cls.pending.try_emplace(std::pair(type, prefix));
   if (inserted) it->second.before = std::move(before);
-  it->second.latest = desired.route != nullptr ? *desired.ref : RouteRef{};
+  it->second.latest = std::move(latest);
   it->second.origin_time =
       update_origin_.ns() >= 0 ? update_origin_ : network_.events().now();
 }
 
 void Speaker::flush_updates() {
-  if (dirty_peers_.empty()) return;
-  // Swap into the scratch list first: anything dirtied while flushing
-  // accumulates for the next flush instead of mutating the list being
-  // walked. Both vectors keep their capacity across batches.
-  flush_order_.swap(dirty_peers_);
-  // Ascending index order — identical send order to the full peer scan
-  // this replaces. A peer can appear twice if a mid-batch session loss
-  // cleared its pending map and later syncs re-dirtied it; the duplicate
-  // is skipped below once the map is drained.
-  std::sort(flush_order_.begin(), flush_order_.end());
-  for (const PeerIndex index : flush_order_) {
+  if (!dirty_) return;
+  dirty_ = false;
+  const net::SimTime now_origin =
+      update_origin_.ns() >= 0 ? update_origin_ : network_.events().now();
+  for (PeerIndex index = 0; index < peers_.size(); ++index) {
     Peer& peer = peers_[index];
-    if (peer.pending.empty()) continue;
-    if (!network_.is_up(peer.channel)) {
-      // Session went away mid-batch; channel-up reconciles via full sync.
-      peer.pending.clear();
-      continue;
-    }
+    const ExportClass& cls = classes_[peer.export_class];
+    if (peer.synced && cls.pending.empty()) continue;
+    // No session, no updates: re-establishment sends the full table.
+    if (!network_.is_up(peer.channel)) continue;
     auto update = std::make_unique<UpdateMessage>();
-    update->deltas.reserve(peer.pending.size());
-    for (auto& [key, pd] : peer.pending) {
-      // Canonical ids: equal refs mean equal routes, so churn that netted
-      // out to no wire change is one integer compare.
-      if (pd.before == pd.latest) continue;
+    const auto add = [&](RouteType type, const net::Prefix& prefix,
+                         const RouteRef* ref, net::SimTime origin) {
       update->deltas.push_back(UpdateMessage::Delta{
-          key.first, key.second,
-          pd.latest.has_value() ? std::optional<Route>(pd.latest.get())
-                                : std::nullopt,
-          pd.origin_time});
+          type, prefix,
+          ref != nullptr ? std::optional<Route>(ref->get()) : std::nullopt,
+          origin});
+    };
+    if (!peer.synced) {
+      // The whole table, stamped like the change that last touched each
+      // entry this batch (if any).
+      peer.synced = true;
+      for (int t = 0; t < kRouteTypeCount; ++t) {
+        const auto type = static_cast<RouteType>(t);
+        cls.table[t].for_each([&](const net::Prefix& p, const RouteRef& ref) {
+          if (!sends(cls, ref, peer)) return;
+          const auto pd = cls.pending.find(std::pair(type, p));
+          add(type, p, &ref,
+              pd != cls.pending.end() ? pd->second.origin_time : now_origin);
+        });
+      }
+    } else {
+      for (const auto& [key, pd] : cls.pending) {
+        // Canonical ids: equal ids mean equal routes, so churn that netted
+        // out to no wire change for this peer is one integer compare.
+        const bool announce = sends(cls, pd.latest, peer);
+        const bool had = sends(cls, pd.before, peer);
+        if (had == announce && (!had || pd.before == pd.latest)) continue;
+        add(key.first, key.second, announce ? &pd.latest : nullptr,
+            pd.origin_time);
+      }
     }
-    peer.pending.clear();
     if (update->deltas.empty()) continue;
     metrics_.updates_sent->inc();
     metrics_.updates_sent_by_domain->add(as_);
+    if (index == lose_next_update_) {
+      lose_next_update_ = kLocalPeer;
+      continue;
+    }
     network_.send(peer.channel, *this, std::move(update));
   }
-  flush_order_.clear();
+  for (ExportClass& cls : classes_) cls.pending.clear();
 }
 
 void Speaker::best_changed(RouteType type, const net::Prefix& prefix,
@@ -413,45 +412,32 @@ void Speaker::best_changed(RouteType type, const net::Prefix& prefix,
     metrics_.route_convergence_latency->observe(
         (network_.events().now() - update_origin_).to_seconds());
   }
-  sync_all_peers(type, prefix, entry);
+  sync_classes(type, prefix, entry);
   for (const RouteChangeListener& listener : listeners_) {
     listener(type, prefix);
   }
 }
 
-void Speaker::sync_all_peers(RouteType type, const net::Prefix& prefix) {
-  sync_all_peers(type, prefix, rib(type).find(prefix));
-}
-
-void Speaker::sync_all_peers(RouteType type, const net::Prefix& prefix,
-                             const RibEntry* entry) {
-  // One context for the whole fan-out: the RIB lookup, cover check and
-  // exported-route intern happen once, not once per peer.
-  const SyncContext ctx = make_sync_context(type, prefix, entry);
-  for (Peer& peer : peers_) {
-    // No session, no updates: the channel-up full sync reconciles later.
-    if (!network_.is_up(peer.channel)) continue;
-    apply_desired(type, prefix, peer, desired_from_context(ctx, peer));
+void Speaker::sync_classes(RouteType type, const net::Prefix& prefix,
+                           const RibEntry* entry) {
+  // One context for the whole fan-out: the cover check and the exported
+  // route's AS-path prepend happen once, not once per class.
+  SyncContext ctx = make_sync_context(type, prefix, entry);
+  for (ExportClass& cls : classes_) {
+    apply_desired(type, prefix, cls, class_route(ctx, cls));
   }
 }
 
-void Speaker::full_sync(Peer& peer) {
-  const BatchScope batch(*this);
+void Speaker::sync_class(ExportClass& cls) {
+  // The class table never holds a prefix the loc-RIB lacks, so walking
+  // the loc-RIB covers every entry; apply_desired only touches the class
+  // table, never the loc-RIB being walked.
   for (int t = 0; t < kRouteTypeCount; ++t) {
     const auto type = static_cast<RouteType>(t);
-    // Sync everything currently advertised (so stale entries withdraw) and
-    // everything in the loc-RIB. Prefixes are collected first because
-    // sync_peer mutates the Adj-RIB-Out trie being walked.
-    auto& advertised = peer.advertised[static_cast<std::size_t>(type)];
-    std::vector<net::Prefix> prefixes;
-    prefixes.reserve(advertised.size() + rib(type).size());
-    advertised.for_each([&](const net::Prefix& p, const RouteRef&) {
-      prefixes.push_back(p);
+    rib(type).for_each_entry([&](const net::Prefix& p, const RibEntry& e) {
+      SyncContext ctx = make_sync_context(type, p, &e);
+      apply_desired(type, p, cls, class_route(ctx, cls));
     });
-    rib(type).for_each_best([&](const net::Prefix& p, const Candidate&) {
-      prefixes.push_back(p);
-    });
-    for (const net::Prefix& p : prefixes) sync_peer(type, p, peer);
   }
 }
 
@@ -459,20 +445,20 @@ std::size_t Speaker::state_bytes() const {
   std::size_t total = 0;
   for (const Rib& r : ribs_) total += r.state_bytes();
   for (const auto& origins : origins_) total += origins.memory_bytes();
-  for (const Peer& peer : peers_) {
-    for (const auto& advertised : peer.advertised) {
-      total += advertised.memory_bytes();
-    }
+  for (const ExportClass& cls : classes_) {
+    for (const auto& table : cls.table) total += table.memory_bytes();
   }
   return total;
 }
 
 void Speaker::resync_specifics(RouteType type, const net::Prefix& prefix) {
-  // sync_all_peers only touches Adj-RIB-Outs, never the loc-RIB being
+  // sync_classes only touches class tables, never the loc-RIB being
   // walked, so no snapshot copy is needed here.
   rib(type).for_each_best_within(
       prefix, [&](const net::Prefix& p, const Candidate&) {
-        if (p.length() > prefix.length()) sync_all_peers(type, p);
+        if (p.length() > prefix.length()) {
+          sync_classes(type, p, rib(type).find(p));
+        }
       });
 }
 

@@ -108,11 +108,6 @@ class Speaker final : public net::Endpoint {
     listeners_.push_back(std::move(listener));
   }
 
-  /// Peers of this speaker (for wiring BGMP components to BGP peerings).
-  [[nodiscard]] std::vector<Speaker*> peers() const;
-  [[nodiscard]] std::optional<Relationship> relationship_with(
-      const Speaker& peer) const;
-
   /// Session introspection for invariant checkers: the number of peerings
   /// (the PeerIndex range), the speaker behind one, and whether its
   /// transport session is currently up. A RIB candidate whose `via` names
@@ -126,9 +121,27 @@ class Speaker final : public net::Endpoint {
     return network_.is_up(peers_.at(index).channel);
   }
 
+  /// The Adj-RIB-Out toward one peer, derived from its export class: calls
+  /// `fn(prefix, route)`, in address order, for every route of `type` the
+  /// peer has been sent (while its session is down: will be sent on re-
+  /// establishment). Read-only; for invariant checkers and tests.
+  template <typename Fn>
+  void for_each_advertised(PeerIndex index, RouteType type, Fn&& fn) const {
+    const Peer& peer = peers_.at(index);
+    const ExportClass& cls = classes_[peer.export_class];
+    cls.table[static_cast<std::size_t>(type)].for_each(
+        [&](const net::Prefix& prefix, const RouteRef& ref) {
+          if (sends(cls, ref, peer)) fn(prefix, ref.get());
+        });
+  }
+
+  /// Test-only fault injection: the next non-empty update due to peer
+  /// `index` is counted as sent but never delivered.
+  void debug_lose_next_update(PeerIndex index) { lose_next_update_ = index; }
+
   /// Bytes of routing state held by this speaker: the three RIB views
-  /// (trie pools + candidate slots), the origin tables, and every peer's
-  /// Adj-RIB-Out trie. Feeds the core.state_bytes_per_domain gauge.
+  /// (trie pools + candidate slots), the origin tables, and each export
+  /// class's Adj-RIB-Out trie. Feeds the core.state_bytes_per_domain gauge.
   [[nodiscard]] std::size_t state_bytes() const;
 
   // net::Endpoint:
@@ -141,22 +154,30 @@ class Speaker final : public net::Endpoint {
   void on_channel_up(net::ChannelId channel) override;
 
  private:
-  struct Peer {
-    Speaker* speaker;
-    net::ChannelId channel;
-    Relationship relationship;
-    ExportPolicy export_policy;
-    /// Last route announced to this peer, per view — the Adj-RIB-Out.
-    /// Holds 4-byte interned handles: the same route announced to many
-    /// peers is stored once in the thread's RouteTable.
-    std::array<net::PrefixTrie<RouteRef>, kRouteTypeCount> advertised;
+  /// The export rule a peering gets; one ExportClass per kind in use.
+  enum class ExportKind : std::uint8_t {
+    kInternal,    ///< iBGP: the best route, unchanged, unless iBGP-learned
+    kExternal,    ///< eBGP with no policy filter (incl. Gao-Rexford customers)
+    kRestricted,  ///< Gao-Rexford provider/lateral: own and customer routes
+  };
+
+  /// An update group: every peering with the same export rule shares one
+  /// Adj-RIB-Out and one set of batch deltas, so a best-route change is
+  /// evaluated once per class, not once per peer. A member's own
+  /// Adj-RIB-Out is the class table minus routes whose AS path holds the
+  /// member's AS (see sends()); the table stores a route only if at least
+  /// one member would be sent it.
+  struct ExportClass {
+    ExportKind kind;
+    std::vector<DomainId> member_ases;  ///< distinct, ascending
+    /// Per view, 4-byte interned handles (see route_table.hpp).
+    std::array<net::PrefixTrie<RouteRef>, kRouteTypeCount> table;
     /// Deltas accumulated during the current update batch (see
-    /// BatchScope). `before` snapshots the Adj-RIB-Out content when the
-    /// batch first touched the key, so churn that nets out to no wire
-    /// change is dropped at flush. Keyed map: deterministic flush order.
-    /// Both sides are interned handles (null = absent/withdraw): ids are
-    /// canonical, so the flush netting check is an id compare and a batch
-    /// of applies costs refcount bumps, not Route copies.
+    /// BatchScope). `before` snapshots the table content when the batch
+    /// first touched the key, so churn that nets out to no wire change is
+    /// dropped at flush. Keyed map: deterministic flush order. Both sides
+    /// are interned handles (null = absent/withdraw): the netting check is
+    /// an id compare.
     struct PendingDelta {
       RouteRef before;
       RouteRef latest;
@@ -164,6 +185,24 @@ class Speaker final : public net::Endpoint {
     };
     std::map<std::pair<RouteType, net::Prefix>, PendingDelta> pending;
   };
+
+  struct Peer {
+    Speaker* speaker;
+    net::ChannelId channel;
+    DomainId as;  ///< speaker->as(), kept here for the flush-time filter
+    Relationship relationship;
+    std::uint8_t export_class;  ///< index into classes_
+    bool synced = false;  ///< sent the full table since the session came up
+  };
+
+  /// Whether a member of `cls` is sent the class route `ref` (null: no):
+  /// eBGP never sends a route whose AS path holds the peer's AS, which also
+  /// covers split horizon (the sender prepended its AS).
+  static bool sends(const ExportClass& cls, const RouteRef& ref,
+                    const Peer& peer) {
+    return ref.has_value() && (cls.kind == ExportKind::kInternal ||
+                               !ref.get().contains_as(peer.as));
+  }
 
   Rib& rib_mut(RouteType type) {
     return ribs_[static_cast<std::size_t>(type)];
@@ -193,10 +232,10 @@ class Speaker final : public net::Endpoint {
     bool prev_remote_;
   };
 
-  /// RAII update batch: while a scope is open, sync_peer() accumulates
-  /// per-peer deltas instead of sending; when the outermost scope closes,
-  /// each peer receives at most ONE UpdateMessage carrying every coalesced
-  /// delta. One received update (or one originate/withdraw, or a session
+  /// RAII update batch: while a scope is open, export-class changes
+  /// accumulate as pending deltas; when the outermost scope closes, each
+  /// peer receives at most ONE UpdateMessage carrying every coalesced delta.
+  /// One received update (or one originate/withdraw, or a session
   /// establishment's full table) therefore costs one message per peer, not
   /// one per prefix.
   class BatchScope {
@@ -220,74 +259,52 @@ class Speaker final : public net::Endpoint {
 
   void handle_update(PeerIndex from, const UpdateMessage& update);
 
-  /// Sends each peer's coalesced pending deltas as one UpdateMessage.
+  /// Sends each peer its coalesced deltas as one UpdateMessage: the full
+  /// class table to a peer not yet synced, else the class's pending deltas
+  /// filtered for the peer.
   void flush_updates();
 
-  /// Best-route change fan-out: notifies listeners and resyncs peers.
+  /// Best-route change fan-out: notifies listeners and resyncs classes.
   /// `entry` is the loc-RIB entry the triggering mutation touched (nullptr
   /// when it was erased) — passed through so the fan-out does not repeat
   /// the trie descent the mutation just performed.
   void best_changed(RouteType type, const net::Prefix& prefix,
                     const RibEntry* entry);
 
-  /// Recomputes what `peer` should see for (type, prefix) and sends the
-  /// delta (announcement or withdrawal), if any.
-  void sync_peer(RouteType type, const net::Prefix& prefix, Peer& peer);
-  /// Syncs every peer for one prefix; the overload without an entry looks
-  /// the prefix up (used where no mutation pinpointed the entry).
-  void sync_all_peers(RouteType type, const net::Prefix& prefix);
-  void sync_all_peers(RouteType type, const net::Prefix& prefix,
-                      const RibEntry* entry);
-  /// Syncs `peer` for every prefix in every view (session establishment).
-  void full_sync(Peer& peer);
+  /// Re-evaluates every export class for one prefix (`entry` as above).
+  void sync_classes(RouteType type, const net::Prefix& prefix,
+                    const RibEntry* entry);
+  /// Re-evaluates one class for every loc-RIB prefix in every view.
+  void sync_class(ExportClass& cls);
+  /// Session establishment: the peer gets its full table at the next flush.
+  void establish(PeerIndex index);
   /// Re-evaluates all loc-RIB prefixes strictly inside `prefix` — needed
   /// when an own origination appears/disappears and changes which
   /// more-specifics aggregation suppresses.
   void resync_specifics(RouteType type, const net::Prefix& prefix);
 
-  /// Per-prefix export state shared across every peer in one sync fan-out:
-  /// the loc-RIB best plus every part of the export decision that does not
-  /// depend on the peer. Hoists the RIB lookup, the aggregation cover check
-  /// and the eBGP route construction (an AS-path intern) out of the
-  /// per-peer loop — the dominant BGP cost at the 10k rung, where each
-  /// best-route change fans out to many peers.
+  /// Per-prefix export state shared by every class in one sync fan-out:
+  /// the loc-RIB best plus the parts of the export decision that do not
+  /// depend on the class.
   struct SyncContext {
-    const Candidate* best = nullptr;        ///< nullptr: withdraw everywhere
-    const Speaker* learned_from = nullptr;  ///< split-horizon target
-    bool aggregation_suppressed = false;    ///< covered by an own origination
+    const Candidate* best = nullptr;      ///< nullptr: withdraw everywhere
+    bool aggregation_suppressed = false;  ///< covered by an own origination
     bool gao_blocked = false;  ///< provenance is not customer-or-local
-    /// The prepended/reset eBGP route — identical for every external peer
-    /// that passes the per-peer filters, so it is built (and its AS path
-    /// interned) lazily on the first peer that needs it, at most once.
-    mutable std::optional<Route> ebgp_export;
-    /// Lazily-interned handles for the two routes this fan-out can
-    /// advertise (the iBGP-carried best and the eBGP export). Interned on
-    /// the first peer that needs one and shared by the rest, so the
-    /// Adj-RIB-Out agree check is an id compare per peer, not a Route
-    /// compare, and the hash-cons lookup happens once per fan-out.
-    mutable RouteRef internal_ref;
-    mutable RouteRef ebgp_ref;
+    /// The prepended/reset eBGP route, built (and its AS path interned)
+    /// on the first eBGP class that exports it.
+    std::optional<Route> ebgp_export;
   };
-  /// What one peer should be sent for the context's prefix: the route
-  /// (nullptr = withdraw) plus the context's intern-cache slot for it.
-  struct Desired {
-    const Route* route = nullptr;
-    RouteRef* ref = nullptr;  ///< non-null iff route is
-  };
-  [[nodiscard]] SyncContext make_sync_context(RouteType type,
-                                              const net::Prefix& prefix) const;
-  /// Same, with the loc-RIB entry already in hand (nullptr = no entry) —
-  /// skips the exact-match descent.
   [[nodiscard]] SyncContext make_sync_context(RouteType type,
                                               const net::Prefix& prefix,
                                               const RibEntry* entry) const;
-  /// The peer-dependent tail of the export decision (split horizon, iBGP
-  /// reflection rules, loop suppression, relationship policy).
-  [[nodiscard]] Desired desired_from_context(const SyncContext& ctx,
-                                             const Peer& peer) const;
-  /// Reconciles one peer's Adj-RIB-Out with `desired`, queueing the delta.
-  void apply_desired(RouteType type, const net::Prefix& prefix, Peer& peer,
-                     const Desired& desired);
+  /// The class's export decision (nullptr = withdraw): iBGP reflection
+  /// rule, aggregation, relationship policy, and — for eBGP — whether any
+  /// member would be sent the route at all.
+  [[nodiscard]] const Route* class_route(SyncContext& ctx,
+                                         const ExportClass& cls) const;
+  /// Reconciles the class table with `route`, queueing the delta.
+  void apply_desired(RouteType type, const net::Prefix& prefix,
+                     ExportClass& cls, const Route* route);
 
   net::Network& network_;
   DomainId as_;
@@ -305,6 +322,8 @@ class Speaker final : public net::Endpoint {
     obs::Counter* routes_announced;
     obs::Counter* routes_withdrawn;
     obs::Counter* routes_originated;
+    /// Class-level export decisions (one per class per re-evaluated prefix).
+    obs::Counter* export_evaluations;
     /// Origination → this speaker's best route changing, sampled at every
     /// speaker a received update flips (the update carries origin_time).
     obs::Histogram* route_convergence_latency;
@@ -312,8 +331,8 @@ class Speaker final : public net::Endpoint {
   SpeakerMetrics metrics_;
 
   /// Origin time of the routing change being processed (negative = none):
-  /// set around originate()/withdraw()/handle_update() and copied into
-  /// updates sync_peer() sends, so the stamp survives re-advertisement.
+  /// set around originate()/withdraw()/handle_update() and copied into the
+  /// deltas apply_desired() queues, so the stamp survives re-advertisement.
   net::SimTime update_origin_ = net::SimTime::nanoseconds(-1);
   /// True while handling a *received* update — gates convergence-latency
   /// sampling so the originator's own (zero-latency) flip is not counted.
@@ -325,17 +344,17 @@ class Speaker final : public net::Endpoint {
   /// Locally-originated prefixes per view.
   std::array<net::PrefixTrie<bool>, kRouteTypeCount> origins_;
   std::vector<Peer> peers_;
+  /// At most one per ExportKind.
+  std::vector<ExportClass> classes_;
   /// peers_[i].channel, hoisted into a flat ascending vector (channels are
   /// allocated in connect order): peer_by_channel() binary-searches 4-byte
   /// ids instead of striding across the full Peer structs per delivery.
   std::vector<net::ChannelId> peer_channels_;
-  /// Peers whose pending map gained its first delta this batch. flush
-  /// sorts the indices, so the per-peer send order matches the full scan
-  /// it replaces exactly.
-  std::vector<PeerIndex> dirty_peers_;
-  /// flush_updates() scratch (swapped with dirty_peers_): keeps capacity
-  /// across batches and isolates the walk from re-entrant dirtying.
-  std::vector<PeerIndex> flush_order_;
+  /// Set when a class queues a delta or a peer awaits its full table:
+  /// batches that changed nothing skip the flush's peer scan.
+  bool dirty_ = false;
+  /// debug_lose_next_update() target (kLocalPeer = none).
+  PeerIndex lose_next_update_ = kLocalPeer;
   std::vector<RouteChangeListener> listeners_;
 
   /// Direct-mapped longest-match cache per view, invalidated by the RIB

@@ -11,8 +11,9 @@
 //    B as child ⇔ B's parent is A) and acyclic, and every entry's parent
 //    agrees with a fresh G-RIB resolution toward the group's root domain.
 //  * BGP (§2, §5): each RIB entry's stored best route is maximal under the
-//    decision process recomputed over its candidates, and no candidate was
-//    learned over a session that is currently down.
+//    decision process recomputed over its candidates, no candidate was
+//    learned over a session that is currently down, and at quiescence both
+//    ends of every live session agree on what was advertised over it.
 //
 // Always-on invariants hold at any instant, even mid-convergence; the
 // quiescent-only ones describe converged state (tree symmetry needs joins
@@ -149,6 +150,20 @@ class BgpNextHopLiveInvariant final : public Invariant {
   [[nodiscard]] std::string_view name() const override {
     return "bgp-next-hop-live";
   }
+  void check(core::Internet& net, std::vector<Violation>& out) override;
+};
+
+/// At quiescence, every live session's two ends agree: the receiver's
+/// Adj-RIB-In from the sender (its RIB candidates learned via that peer)
+/// equals the sender's Adj-RIB-Out toward it, in every view, modulo the
+/// LOCAL_PREF the receiver assigns at eBGP import. A lost or misapplied
+/// update leaves the two diverged until the session resets.
+class BgpSessionConsistencyInvariant final : public Invariant {
+ public:
+  [[nodiscard]] std::string_view name() const override {
+    return "bgp-session-consistency";
+  }
+  [[nodiscard]] bool quiescent_only() const override { return true; }
   void check(core::Internet& net, std::vector<Violation>& out) override;
 };
 

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "bgp/speaker.hpp"
 #include "check/invariant.hpp"
 #include "core/domain.hpp"
 #include "core/internet.hpp"
@@ -28,6 +29,19 @@ struct PendingHeal {
   core::Domain* a;
   core::Domain* b;  ///< nullptr = whole-domain partition of `a`
 };
+
+/// ChaosConfig::inject_lost_update: one announcement that one live session
+/// silently loses.
+void inject_lost_update(core::Internet& net) {
+  bgp::Speaker& speaker = net.domain(0).speaker(0);
+  for (bgp::PeerIndex p = 0; p < speaker.peer_count(); ++p) {
+    if (!speaker.peer_session_up(p)) continue;
+    speaker.debug_lose_next_update(p);
+    speaker.originate(bgp::RouteType::kUnicast,
+                      net::Prefix::parse("198.18.0.0/15"));
+    return;
+  }
+}
 
 }  // namespace
 
@@ -260,6 +274,7 @@ ChaosResult run_chaos(const ChaosConfig& config) {
       }
     }
     net.settle();
+    if (config.inject_lost_update) inject_lost_update(net);
     net::ConvergenceProbe& probe = net.convergence_probe();
     probe.arm("chaos-final");
     net.settle();
@@ -307,6 +322,8 @@ void ChaosResult::write_json(std::ostream& os) const {
      << ",\n  \"reorder_rate\": " << config.reorder_rate
      << ",\n  \"inject_skip_waiting_period\": "
      << (config.inject_skip_waiting_period ? "true" : "false")
+     << ",\n  \"inject_lost_update\": "
+     << (config.inject_lost_update ? "true" : "false")
      << ",\n  \"passed\": " << (passed() ? "true" : "false")
      << ",\n  \"quiesced\": " << (quiesced ? "true" : "false")
      << ",\n  \"events_run\": " << events_run

@@ -70,6 +70,10 @@ struct ChaosConfig {
   /// commit before each other's claim messages arrive — the §4.1 bug the
   /// overlap invariant exists to catch. Pair with check_every = 1.
   bool inject_skip_waiting_period = false;
+  /// Fault injection for bgp-session-consistency: after the final heal,
+  /// domain 0's first border originates a fresh unicast prefix and the
+  /// update carrying it over its first live session is lost in flight.
+  bool inject_lost_update = false;
 
   /// Telemetry attached for the whole run (recorder + span sampling).
   TelemetrySpec telemetry;

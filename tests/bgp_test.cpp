@@ -3,7 +3,10 @@
 // selective propagation (§2/§4.2).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bgp/rib.hpp"
@@ -12,6 +15,7 @@
 #include "bgp/types.hpp"
 #include "net/event.hpp"
 #include "net/network.hpp"
+#include "net/rng.hpp"
 
 namespace bgp {
 namespace {
@@ -83,6 +87,17 @@ TEST(RibEntry, RemoveFallsBackToNextBest) {
   EXPECT_TRUE(entry.remove(1));
   EXPECT_EQ(entry.best(), nullptr);
   EXPECT_FALSE(entry.remove(1));  // absent: no-op
+}
+
+TEST(RibEntry, HandoverToAnEqualRouteIsAChange) {
+  // Another candidate carrying an equal route is another next hop: the
+  // exports and route-change listeners must hear about it.
+  RibEntry entry;
+  EXPECT_TRUE(entry.upsert(make_candidate(0, {2}, 100, 5)));
+  EXPECT_TRUE(entry.upsert(make_candidate(1, {2}, 100, 3, true)));
+  EXPECT_EQ(entry.best()->via, 1u);
+  EXPECT_TRUE(entry.remove(1));
+  EXPECT_EQ(entry.best()->via, 0u);
 }
 
 // ------------------------------------------------------------- environment
@@ -297,6 +312,29 @@ TEST(Speaker, IbgpLearnedRoutesNotReflected) {
                    .has_value());
 }
 
+TEST(Speaker, IbgpCopiesDoNotOutliveTheExternalExits) {
+  // a1 and a2 both hear x's route directly and pass each other an iBGP
+  // copy — an equal route. When both external sessions fail, the copies
+  // must be withdrawn too, not keep each other alive with no exit left.
+  TestNet t;
+  Speaker& x = t.speaker(1, "x");
+  Speaker& a1 = t.speaker(10, "a1");
+  Speaker& a2 = t.speaker(10, "a2");
+  Speaker::connect(a1, a2, Relationship::kInternal);
+  const net::ChannelId x_a1 = Speaker::connect(x, a1, Relationship::kLateral);
+  const net::ChannelId x_a2 = Speaker::connect(x, a2, Relationship::kLateral);
+  x.originate(RouteType::kGroup, Prefix::parse("224.1.0.0/16"));
+  t.settle();
+  EXPECT_EQ(a2.lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.0.1"))
+                ->next_hop,
+            &a1);
+  t.network.set_up(x_a1, false);
+  t.network.set_up(x_a2, false);
+  t.settle();
+  EXPECT_EQ(a1.rib(RouteType::kGroup).size(), 0u);
+  EXPECT_EQ(a2.rib(RouteType::kGroup).size(), 0u);
+}
+
 TEST(Speaker, InternalPeeringRequiresSameAs) {
   TestNet t;
   Speaker& s1 = t.speaker(1, "s1");
@@ -505,6 +543,226 @@ TEST(Speaker, Figure1GroupRouteDistribution) {
     EXPECT_EQ(hit->next_hop, &a3) << s->name();
     EXPECT_TRUE(hit->internal);
   }
+}
+
+// ------------------------------------------- export classes vs an oracle
+
+/// One peering as the test wired it, in the speaker's PeerIndex order.
+struct PeeringSpec {
+  const Speaker* peer;
+  Relationship rel;
+  ExportPolicy policy;
+};
+
+/// A TestNet that records every peering and aggregation setting, so the
+/// per-peer export rule can be recomputed from first principles.
+struct OracleNet : TestNet {
+  std::map<const Speaker*, std::vector<PeeringSpec>> peerings;
+  std::map<const Speaker*, bool> aggregation;
+  std::vector<net::ChannelId> channels;
+
+  void connect(Speaker& a, Speaker& b, Relationship rel, ExportPolicy pa,
+               ExportPolicy pb) {
+    channels.push_back(Speaker::connect(
+        a, b, rel, net::SimTime::milliseconds(10), pa, pb));
+    peerings[&a].push_back({&b, rel, pa});
+    peerings[&b].push_back({&a, reverse(rel), pb});
+  }
+  void set_aggregation(Speaker& s, bool on) {
+    s.set_aggregation(on);
+    aggregation[&s] = on;
+  }
+};
+
+/// What `s` should advertise to `peer` for a loc-RIB best route, written
+/// out peer by peer: split horizon, no iBGP reflection, AS-path loop
+/// suppression, §4.3.2 aggregation under an own covering origination,
+/// Gao-Rexford provenance toward providers and laterals.
+std::optional<Route> oracle_export(const Speaker& s, RouteType type,
+                                   const Prefix& prefix, const Candidate& best,
+                                   const PeeringSpec& peer, bool aggregation) {
+  const bool local = best.via == kLocalPeer;
+  if (!local && s.peer_speaker(best.via) == peer.peer) return std::nullopt;
+  if (peer.rel == Relationship::kInternal) {
+    if (best.internal) return std::nullopt;
+    return best.route;
+  }
+  if (best.route.contains_as(peer.peer->as())) return std::nullopt;
+  bool covered = false;
+  s.rib(type).for_each_best([&](const Prefix& p, const Candidate& c) {
+    covered = covered || (c.via == kLocalPeer &&
+                          p.length() < prefix.length() && p.contains(prefix));
+  });
+  if (!local && aggregation && covered) return std::nullopt;
+  if (!local && peer.policy == ExportPolicy::kGaoRexford &&
+      peer.rel != Relationship::kCustomer && best.route.local_pref < 100) {
+    return std::nullopt;
+  }
+  Route out = best.route;
+  out.as_path = out.as_path.prepend(s.as());
+  out.local_pref = 100;
+  return out;
+}
+
+/// A random internet: 5–8 domains of 1–3 iBGP-meshed borders linked in a
+/// random tree with random export policies; nested group routes (so
+/// aggregation has work), unicast and M-RIB routes; aggregation toggled,
+/// withdrawals and session flaps, some sessions left down at the end.
+void build_random_internet(OracleNet& o, std::uint64_t seed) {
+  net::Rng rng(seed);
+  const auto pick_policy = [&] {
+    return rng.chance(0.5) ? ExportPolicy::kGaoRexford
+                           : ExportPolicy::kAdvertiseAll;
+  };
+  std::vector<std::vector<Speaker*>> domains(5 + rng.index(4));
+  for (std::size_t d = 0; d < domains.size(); ++d) {
+    const std::size_t borders = 1 + rng.index(3);
+    for (std::size_t b = 0; b < borders; ++b) {
+      Speaker& s = o.speaker(static_cast<DomainId>(d + 1),
+                             "d" + std::to_string(d) + "b" +
+                                 std::to_string(b));
+      if (rng.chance(0.3)) o.set_aggregation(s, false);
+      for (Speaker* other : domains[d]) {
+        o.connect(*other, s, Relationship::kInternal, pick_policy(),
+                  pick_policy());
+      }
+      domains[d].push_back(&s);
+    }
+  }
+  // The domains form a tree (a domain's parent is a random earlier one,
+  // its provider or a lateral), so every policy mix converges: with
+  // kAdvertiseAll in the mix, a cycle of domains could hold a BGP dispute
+  // wheel that never settles. Some tree edges get a second, parallel
+  // session between other borders: two exits toward the same neighbor.
+  for (std::size_t d = 1; d < domains.size(); ++d) {
+    const std::size_t parent = rng.index(d);
+    const Relationship rel =
+        rng.chance(0.3) ? Relationship::kLateral : Relationship::kCustomer;
+    Speaker* first[2] = {nullptr, nullptr};
+    for (int k = 0; k < (rng.chance(0.4) ? 2 : 1); ++k) {
+      Speaker* up = rng.pick(domains[parent]);
+      Speaker* down = rng.pick(domains[d]);
+      if (up == first[0] || down == first[1]) continue;  // one per border
+      o.connect(*up, *down, rel, pick_policy(), pick_policy());
+      first[0] = up;
+      first[1] = down;
+    }
+  }
+  std::vector<std::pair<Speaker*, Prefix>> aggregates;
+  for (std::size_t d = 0; d < domains.size(); ++d) {
+    const auto octet = std::to_string(d + 1);
+    Speaker& origin = *rng.pick(domains[d]);
+    const Prefix aggregate = Prefix::parse("224." + octet + ".0.0/16");
+    origin.originate(RouteType::kGroup, aggregate);
+    aggregates.emplace_back(&origin, aggregate);
+    origin.originate(RouteType::kUnicast,
+                     Prefix::parse("10." + octet + ".0.0/16"));
+    if (rng.chance(0.5)) {
+      origin.originate(RouteType::kMulticast,
+                       Prefix::parse("10." + octet + ".0.0/16"));
+    }
+    // A child range inside this domain's group range, originated by a
+    // random domain (usually another one).
+    rng.pick(domains[rng.index(domains.size())])
+        ->originate(RouteType::kGroup,
+                    Prefix::parse("224." + octet + "." +
+                                  std::to_string(1 + rng.index(200)) +
+                                  ".0/24"));
+  }
+  o.settle();
+  for (int round = 0; round < 3; ++round) {
+    std::vector<net::ChannelId> down;
+    for (int f = 0; f < 2; ++f) {
+      const net::ChannelId ch = rng.pick(o.channels);
+      if (!o.network.is_up(ch)) continue;
+      o.network.set_up(ch, false);
+      down.push_back(ch);
+    }
+    o.settle();
+    const auto& [origin, aggregate] = rng.pick(aggregates);
+    if (rng.chance(0.5)) {
+      origin->withdraw(RouteType::kGroup, aggregate);
+    } else {
+      origin->originate(RouteType::kGroup, aggregate);
+    }
+    Speaker& toggled = *o.speakers[rng.index(o.speakers.size())];
+    o.set_aggregation(toggled, !o.aggregation.emplace(&toggled, true)
+                                    .first->second);
+    o.settle();
+    for (const net::ChannelId ch : down) {
+      if (round == 2 && rng.chance(0.5)) continue;  // stays down
+      o.network.set_up(ch, true);
+    }
+    o.settle();
+  }
+}
+
+class ExportClassOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExportClassOracle, DerivedAdjRibOutMatchesPerPeerRule) {
+  OracleNet o;
+  build_random_internet(o, static_cast<std::uint64_t>(GetParam()));
+  std::size_t compared = 0;
+  for (const auto& owned : o.speakers) {
+    const Speaker& s = *owned;
+    const auto agg = o.aggregation.find(&s);
+    const bool aggregation = agg == o.aggregation.end() || agg->second;
+    const std::vector<PeeringSpec>& specs = o.peerings[&s];
+    ASSERT_EQ(specs.size(), s.peer_count());
+    for (PeerIndex i = 0; i < s.peer_count(); ++i) {
+      if (!s.peer_session_up(i)) continue;
+      for (int t = 0; t < kRouteTypeCount; ++t) {
+        const auto type = static_cast<RouteType>(t);
+        std::map<Prefix, Route> want;
+        s.rib(type).for_each_best([&](const Prefix& p, const Candidate& c) {
+          if (auto r = oracle_export(s, type, p, c, specs[i], aggregation)) {
+            want.emplace(p, *r);
+          }
+        });
+        std::map<Prefix, Route> got;
+        s.for_each_advertised(i, type, [&](const Prefix& p, const Route& r) {
+          got.emplace(p, r);
+        });
+        EXPECT_EQ(got, want) << s.name() << " -> " << specs[i].peer->name()
+                             << " " << to_string(type);
+        compared += want.size();
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExportClassOracle, ::testing::Range(1, 41));
+
+TEST(ExportClasses, HubStateStaysFlatAsCustomersGrow) {
+  // A hub with a fixed loc-RIB (64 own group routes) and N Gao-Rexford
+  // customers that originate nothing: one shared class table serves all
+  // customers, so the hub's export state does not grow with N (a private
+  // Adj-RIB-Out per customer grows linearly).
+  const auto export_bytes = [](int customers) {
+    TestNet t;
+    Speaker& hub = t.speaker(1, "hub");
+    for (int i = 0; i < 64; ++i) {
+      hub.originate(RouteType::kGroup,
+                    Prefix::parse("224." + std::to_string(i) + ".0.0/16"));
+    }
+    for (int c = 0; c < customers; ++c) {
+      Speaker::connect(hub, t.speaker(100 + c, "c" + std::to_string(c)),
+                       Relationship::kCustomer, net::SimTime::milliseconds(10),
+                       ExportPolicy::kGaoRexford, ExportPolicy::kGaoRexford);
+    }
+    t.settle();
+    std::size_t bytes = hub.state_bytes();
+    for (int v = 0; v < kRouteTypeCount; ++v) {
+      bytes -= hub.rib(static_cast<RouteType>(v)).state_bytes();
+    }
+    return bytes;
+  };
+  const std::size_t none = export_bytes(0);
+  const std::size_t few = export_bytes(4);
+  EXPECT_GT(few, none);  // the class table is counted
+  EXPECT_EQ(export_bytes(64), few);
+  EXPECT_EQ(export_bytes(256), few);
 }
 
 // --------------------------------------------------------------- PathTable

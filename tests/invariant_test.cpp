@@ -2,7 +2,8 @@
 // schedules must run violation-free and quiesce, the runs must be exactly
 // reproducible from their config, and the detection machinery itself is
 // tested by injecting the §4.1 bug the overlap checker exists to catch
-// (skipping the MASC waiting period) and requiring a replayable violation.
+// (skipping the MASC waiting period) and requiring a replayable violation,
+// and by losing one BGP update for the session-consistency checker.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -147,6 +148,24 @@ TEST(ChaosInjection, SkippedWaitingPeriodIsCaughtByOverlapChecker) {
   }
   EXPECT_TRUE(overlap_seen)
       << "violations found, but none from masc-overlap:\n" << transcript(r);
+}
+
+TEST(ChaosInjection, LostUpdateIsCaughtBySessionConsistencyChecker) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    ChaosConfig config = grid_cell(seed, 16);
+    config.inject_lost_update = true;
+    const ChaosResult r = run_chaos(config);
+    bool seen = false;
+    for (const ChaosViolation& v : r.violations) {
+      if (v.invariant == "bgp-session-consistency") seen = true;
+    }
+    EXPECT_TRUE(seen) << "the lost update went undetected:\n"
+                      << transcript(r);
+    // The same schedule without the fault is clean: the checker fires on
+    // the injected divergence, not on the run.
+    config.inject_lost_update = false;
+    EXPECT_TRUE(run_chaos(config).passed()) << "seed " << seed;
+  }
 }
 
 TEST(ChaosInjection, ViolationReplaysExactlyFromSeed) {
