@@ -33,28 +33,11 @@ int main(int argc, char** argv) {
 
   eval::Args args("analyze_run",
                   "critical-path analysis of a sampled spans JSONL file");
-  args.opt("--spans", &in_path, "spans JSONL file (or first positional arg)");
+  args.positional("SPANS.jsonl", &in_path, "spans JSONL file to analyze");
+  args.opt("--spans", &in_path, "spans JSONL file (or the bare argument)");
   args.flag("--json", &json, "emit the machine-readable JSON report");
   args.opt("--out", &out_path, "also write the report here");
-
-  // Accept the spans file as a bare positional argument: pull it out of
-  // argv so the shared parser (flags-only) still validates the rest.
-  // "--spans" and "--out" consume the following token as their value.
-  std::vector<char*> argv2;
-  argv2.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prev = i > 0 ? argv[i - 1] : "";
-    const bool is_flag_value = prev == "--spans" || prev == "--out";
-    if (i > 0 && !arg.empty() && arg[0] != '-' && !is_flag_value) {
-      in_path = arg;
-      continue;
-    }
-    argv2.push_back(argv[i]);
-  }
-  if (!args.parse(static_cast<int>(argv2.size()), argv2.data())) {
-    return args.exit_code();
-  }
+  if (!args.parse(argc, argv)) return args.exit_code();
   if (in_path.empty()) {
     std::cerr << "analyze_run: no spans file given (positional or --spans)\n";
     return 2;

@@ -6,16 +6,32 @@
 //   Leaves:     F, G     (customers of B and C)
 //
 // B and C claim sub-ranges of A's space at the same instant with the
-// deterministic first-fit strategy — so they pick the SAME range. C (the
-// earlier/lower-id claimant rule) wins; B hears a collision announcement,
-// gives up the claim and picks a different range, exactly the §4.1 story.
+// deterministic first-fit strategy — so they pick the SAME range. B wins
+// (equal claim times: the lower domain id); C hears B's claim relayed by
+// A, gives up its own and picks a different range, the §4.1 story. (A's
+// collision announcement reaches C after it has moved on.)
+// The MASC nodes' own log lines narrate each phase: they are kLog records
+// on the span stream, collected by a MemorySpanSink.
+#include <cstdio>
 #include <iostream>
 
 #include "core/domain.hpp"
 #include "core/internet.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 
 namespace {
+
+/// Prints the log records collected since the last call, then forgets
+/// every recorded event.
+void narrate(obs::MemorySpanSink& spans) {
+  for (const obs::SpanEvent& e : spans.events()) {
+    if (e.kind != obs::SpanEvent::Kind::kLog) continue;
+    char stamp[32];
+    std::snprintf(stamp, sizeof stamp, "[%10.6fs]", e.sim_time.to_seconds());
+    std::cout << "  " << stamp << " " << e.from << ": " << e.message << "\n";
+  }
+  spans.clear();
+}
 
 void show_pool(const core::Domain& d, const masc::MascNode& node) {
   std::cout << "  " << d.name() << " holds:";
@@ -29,8 +45,9 @@ void show_pool(const core::Domain& d, const masc::MascNode& node) {
 }  // namespace
 
 int main() {
-  obs::tracer().level() = obs::TraceLevel::kInfo;  // narrate the exchange
+  obs::MemorySpanSink spans;  // outlives the network it is installed on
   core::Internet net;
+  net.network().set_span_sink(&spans);
 
   core::Domain& a = net.add_domain({.id = 10, .name = "A"});
   core::Domain& b = net.add_domain({.id = 20, .name = "B"});
@@ -70,12 +87,14 @@ int main() {
   d.masc_node().request_space(65536);
   e.masc_node().request_space(65536);
   net.settle();
+  narrate(spans);
   for (core::Domain* dom : {&a, &d, &e}) show_pool(*dom, dom->masc_node());
 
   std::cout << "\n== B and C claim simultaneously -> collision ==\n";
   b.masc_node().request_space(256);
   c.masc_node().request_space(256);
   net.settle();
+  narrate(spans);
   show_pool(b, b.masc_node());
   show_pool(c, c.masc_node());
 
@@ -83,6 +102,7 @@ int main() {
   f.masc_node().request_space(128);
   g.masc_node().request_space(128);
   net.settle();
+  narrate(spans);
   show_pool(f, f.masc_node());
   show_pool(g, g.masc_node());
 

@@ -4,20 +4,18 @@
 // Usage: scenario_runner [script.msc] [--metrics-out FILE]
 //                        [--metrics-every SECONDS] [--metrics-jsonl FILE]
 //                        [--span-out FILE] [--profile-steps]
-//                        [--trace-out FILE] [--trace-level info|debug]
 //
 // Runs a built-in demo when no script is given. --metrics-out writes the
 // end-of-run metrics snapshot (every counter, gauge and histogram the
 // stack registered, stamped with the final simulation time) as JSON.
 // --metrics-every samples a snapshot every SECONDS of simulated time while
 // the scenario settles, appending each as one line of the JSONL time
-// series --metrics-jsonl (default metrics.jsonl). --span-out streams
-// causal message spans (one JSON object per send/deliver/hold/drop,
-// keyed by trace id) for flight-recorder analysis. --profile-steps
-// records wall-clock event-handler durations into per-tag
-// sim.step_wall_seconds.* histograms. --trace-out streams structured
-// JSONL trace records; --trace-level raises the trace level (default off;
-// info also prints to stderr).
+// series --metrics-jsonl (default metrics.jsonl). --span-out streams the
+// span stream: causal message spans (one JSON object per
+// send/deliver/hold/drop, keyed by trace id) and the protocols' log lines
+// ("event":"log"), for offline analysis. --profile-steps records
+// wall-clock event-handler durations into per-tag sim.step_wall_seconds.*
+// histograms. Usage errors exit 2, a failed script 1.
 //
 // Script language (one command per line, '#' comments):
 //
@@ -49,9 +47,9 @@
 
 #include "core/domain.hpp"
 #include "core/internet.hpp"
+#include "eval/args.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace {
 
@@ -296,61 +294,27 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string metrics_jsonl = "metrics.jsonl";
   std::string span_out;
-  std::string trace_out;
-  std::string trace_level;
   double metrics_every = 0.0;
   bool profile_steps = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (arg == "--metrics-out") {
-      metrics_out = next();
-    } else if (arg == "--metrics-every") {
-      metrics_every = std::stod(next());
-      if (metrics_every <= 0.0) {
-        std::cerr << "--metrics-every needs a positive period\n";
-        return 1;
-      }
-    } else if (arg == "--metrics-jsonl") {
-      metrics_jsonl = next();
-    } else if (arg == "--span-out") {
-      span_out = next();
-    } else if (arg == "--profile-steps") {
-      profile_steps = true;
-    } else if (arg == "--trace-out") {
-      trace_out = next();
-    } else if (arg == "--trace-level") {
-      trace_level = next();
-    } else {
-      script_path = arg;
-    }
-  }
-
-  if (trace_level == "info") {
-    obs::tracer().level() = obs::TraceLevel::kInfo;
-  } else if (trace_level == "debug") {
-    obs::tracer().level() = obs::TraceLevel::kDebug;
-  } else if (!trace_level.empty()) {
-    std::cerr << "bad --trace-level '" << trace_level << "'\n";
-    return 1;
-  }
-  std::ofstream trace_file;
-  if (!trace_out.empty()) {
-    trace_file.open(trace_out);
-    if (!trace_file) {
-      std::cerr << "cannot open " << trace_out << "\n";
-      return 1;
-    }
-    obs::tracer().add_sink(std::make_shared<obs::JsonlSink>(trace_file));
-    if (trace_level.empty()) {
-      obs::tracer().level() = obs::TraceLevel::kInfo;
-    }
+  eval::Args args("scenario_runner",
+                  "run a MASC/BGMP scenario script (built-in demo without)");
+  args.positional("script.msc", &script_path, "scenario script to run");
+  args.opt("--metrics-out", &metrics_out,
+           "write the end-of-run metrics snapshot JSON here");
+  args.opt("--metrics-every", &metrics_every,
+           "snapshot period in simulated seconds (0 = off)");
+  args.opt("--metrics-jsonl", &metrics_jsonl,
+           "JSONL file the periodic snapshots append to");
+  args.opt("--span-out", &span_out,
+           "stream message spans and log records as JSONL here");
+  args.flag("--profile-steps", &profile_steps,
+            "record per-tag event-handler wall times");
+  if (!args.parse(argc, argv)) return args.exit_code();
+  // Bounded so the period in nanoseconds fits a SimTime.
+  if (metrics_every < 0.0 || metrics_every >= 1e9) {
+    std::cerr << "scenario_runner: --metrics-every needs a period in "
+                 "[0, 1e9) seconds\n";
+    return 2;
   }
 
   std::istringstream demo(kDemoScript);

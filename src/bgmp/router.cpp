@@ -4,8 +4,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
-
 namespace bgmp {
 
 TargetKey TargetKey::external(Router* r) {
@@ -117,7 +115,7 @@ void Router::reresolve_parents() {
       }
     }
     sync_migp_state(group);
-    obs::log_info(name_, [&](auto& os) {
+    network_.log(*this, [&](std::ostream& os) {
       os << "migrated (*,G) parent for " << group.to_string();
     });
   }
@@ -352,7 +350,7 @@ void Router::add_star_child(Group group, const TargetKey& child) {
       }
     }
     metrics_.entries_created->inc();
-    obs::log_info(name_, [&](auto& os) {
+    network_.log(*this, [&](std::ostream& os) {
       os << "created (*,G) for " << group.to_string();
     });
   }
@@ -377,7 +375,7 @@ void Router::remove_star_child(Group group, const TargetKey& child) {
     }
     star_entries_.erase(it);
     metrics_.entries_torn_down->inc();
-    obs::log_info(name_, [&](auto& os) {
+    network_.log(*this, [&](std::ostream& os) {
       os << "tore down (*,G) for " << group.to_string();
     });
   }
@@ -540,7 +538,7 @@ void Router::repair_group(Group group, int attempts_left) {
                  net::Ipv4Addr{}, group);
   }
   sync_migp_state(group);
-  obs::log_info(name_, [&](auto& os) {
+  network_.log(*this, [&](std::ostream& os) {
     os << "repaired (*,G) for " << group.to_string();
   });
 }
@@ -707,7 +705,7 @@ void Router::request_source_branch(net::Ipv4Addr source, Group group) {
   }
   metrics_.source_branches_built->inc();
   sync_migp_state(group);
-  obs::log_info(name_, [&](auto& os) {
+  network_.log(*this, [&](std::ostream& os) {
     os << "source-specific branch toward S=" << source.to_string();
   });
 }

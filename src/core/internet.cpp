@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "bgmp/router.hpp"
-#include "obs/trace.hpp"
 
 namespace core {
 
@@ -16,8 +15,6 @@ Internet::Internet(std::uint64_t seed)
       deliveries_(&network_.metrics().counter("core.deliveries")),
       probe_(std::make_unique<net::ConvergenceProbe>(
           network_, network_.metrics().histogram("core.convergence_latency"))) {
-  // Trace records carry simulation time, not wall time.
-  obs::tracer().set_clock(&events_);
   // Domain-level state is sampled when a snapshot is taken: MASC pool
   // occupancy, BGMP tree state and BGP table sizes, summed over domains.
   network_.metrics().add_refresh_hook([this]() {
@@ -70,11 +67,7 @@ Internet::Internet(std::uint64_t seed)
   });
 }
 
-Internet::~Internet() {
-  // Only clears if our queue is still the registered clock; another
-  // Internet registered later keeps its own.
-  obs::tracer().clear_clock(&events_);
-}
+Internet::~Internet() = default;
 
 Domain& Internet::add_domain(Domain::Config config) {
   domains_.push_back(std::make_unique<Domain>(*this, std::move(config)));

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -35,7 +36,8 @@ bool parse_ull(const std::string& text, unsigned long long& out) {
 bool parse_double(const std::string& text, double& out) {
   char* end = nullptr;
   out = std::strtod(text.c_str(), &end);
-  return end != text.c_str() && *end == '\0';
+  // strtod turns "1e999" into HUGE_VAL; no option wants inf or nan.
+  return end != text.c_str() && *end == '\0' && std::isfinite(out);
 }
 
 }  // namespace
@@ -159,9 +161,23 @@ void Args::flag(const std::string& name, bool* target,
        }});
 }
 
+void Args::positional(const std::string& name, std::string* target,
+                      const std::string& help) {
+  positional_name_ = name;
+  positional_help_ = help;
+  positional_ = target;
+}
+
 void Args::print_help() const {
-  std::printf("%s — %s\n\nusage: %s [flags]\n\nflags:\n", program_.c_str(),
-              synopsis_.c_str(), program_.c_str());
+  const std::string bare =
+      positional_ == nullptr ? "" : " [" + positional_name_ + "]";
+  std::printf("%s — %s\n\nusage: %s [flags]%s\n\n", program_.c_str(),
+              synopsis_.c_str(), program_.c_str(), bare.c_str());
+  if (positional_ != nullptr) {
+    std::printf("  %-22s %s\n\n", positional_name_.c_str(),
+                positional_help_.c_str());
+  }
+  std::printf("flags:\n");
   for (const Spec& s : specs_) {
     std::printf("  %-22s %s%s(default: %s)\n",
                 (s.name + (s.takes_value ? " V" : "")).c_str(),
@@ -172,12 +188,24 @@ void Args::print_help() const {
 }
 
 bool Args::parse(int argc, char** argv) {
+  bool positional_seen = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       print_help();
       exit_code_ = 0;
       return false;
+    }
+    if (positional_ != nullptr && !arg.empty() && arg[0] != '-') {
+      if (positional_seen) {
+        std::fprintf(stderr, "%s: unexpected argument %s (try --help)\n",
+                     program_.c_str(), arg.c_str());
+        exit_code_ = 2;
+        return false;
+      }
+      *positional_ = arg;
+      positional_seen = true;
+      continue;
     }
     const Spec* spec = find(arg);
     if (spec == nullptr) {

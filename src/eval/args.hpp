@@ -13,6 +13,9 @@
 //   if (!args.parse(argc, argv)) return args.exit_code();
 //
 // List-valued options take comma-separated values ("--domains 16,32,48").
+// Numbers are range-checked: a value that overflows its type, or a
+// non-finite double, is a bad value (exit code 2) like any other.
+// One bare argument (an input file) may be registered with positional().
 #pragma once
 
 #include <cstdint>
@@ -45,6 +48,11 @@ class Args {
   // Boolean switch: present -> true, no value consumed.
   void flag(const std::string& name, bool* target, const std::string& help);
 
+  // The one bare (non-flag) argument, e.g. an input file. Without it any
+  // bare argument is an error; a second one always is.
+  void positional(const std::string& name, std::string* target,
+                  const std::string& help);
+
   // Parses argv. Returns true if the program should proceed; false on
   // --help (exit_code 0) or a parse error (exit_code 2, message already
   // printed to stderr).
@@ -70,6 +78,9 @@ class Args {
   std::string program_;
   std::string synopsis_;
   std::vector<Spec> specs_;
+  std::string positional_name_;
+  std::string positional_help_;
+  std::string* positional_ = nullptr;
   int exit_code_ = 0;
 };
 

@@ -173,6 +173,8 @@ CriticalPathReport analyze_spans(const std::vector<obs::SpanEvent>& events) {
       case obs::SpanEvent::Kind::kDrop:
         // A dropped copy never completes a hop; nothing to unmatch —
         // the pending start simply stays unconsumed.
+      case obs::SpanEvent::Kind::kLog:
+        // Narration, not a hop: the chain's timing is in its messages.
         break;
     }
   }

@@ -6,7 +6,7 @@
 // engine fans a grid of (scenario × domain-count × seed) cells out across
 // a work-stealing thread pool, where every cell builds a fully isolated
 // `core::Internet` — its own EventQueue, RNG and metrics registry, plus
-// the thread-local tracer, message pool and AS-path table — so each cell
+// the thread-local message pool and AS-path table — so each cell
 // is a pure function of its parameters. Results are byte-identical
 // regardless of thread count or schedule; cell outputs are sorted by cell
 // key before aggregation to make the combined report schedule-independent

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/trace.hpp"
-
 namespace net {
 
 Network::Network(EventQueue& events, obs::Metrics* metrics)
@@ -81,6 +79,17 @@ void Network::record_span(obs::SpanEvent::Kind kind, const Message& msg,
   span_sink_->record(event);
 }
 
+void Network::record_log(const Endpoint& from, std::uint64_t trace_id,
+                         std::string message) {
+  obs::SpanEvent event;
+  event.trace_id = trace_id;
+  event.sim_time = events_.now();
+  event.kind = obs::SpanEvent::Kind::kLog;
+  event.from = from.name();
+  event.message = std::move(message);
+  span_sink_->record(event);
+}
+
 void Network::notify_activity() {
   for (const auto& listener : activity_listeners_) listener();
 }
@@ -104,9 +113,6 @@ std::uint64_t Network::send(ChannelId id, const Endpoint& from,
                                           : allocate_trace_id();
   }
   const std::uint64_t trace_id = msg->trace_id;
-  obs::log_debug("net", [&](auto& os) {
-    os << from.name() << " -> " << to->name() << ": " << msg->describe();
-  });
   notify_activity();
   if (!ch.up) {
     if (ch.drop_when_down) {

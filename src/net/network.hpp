@@ -14,6 +14,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -197,9 +198,9 @@ class Network {
   [[nodiscard]] obs::Metrics& metrics() { return *metrics_; }
 
   // ------------------------------------------------------------- spans
-  /// Installs the span sink every send/deliver/hold/drop is recorded to
-  /// (nullptr disables). The sink is caller-owned and must outlive the
-  /// network or be detached first.
+  /// Installs the span sink every send/deliver/hold/drop and log line is
+  /// recorded to (nullptr disables). The sink is caller-owned and must
+  /// outlive the network or be detached first.
   void set_span_sink(obs::SpanSink* sink) { span_sink_ = sink; }
   [[nodiscard]] obs::SpanSink* span_sink() const { return span_sink_; }
 
@@ -208,6 +209,24 @@ class Network {
   /// defer work through timers capture it explicitly.
   [[nodiscard]] std::uint64_t current_trace_id() const {
     return active_trace_id_;
+  }
+
+  /// Records a protocol log line (obs::SpanEvent::Kind::kLog) from `from`
+  /// on the span stream, stamped with this network's sim time. It joins
+  /// chain `trace_id`, or the ambient delivery's (0 outside one) when
+  /// none is given. `fill(std::ostream&)` writes the text; it runs only
+  /// when a sink is installed and wants the chain, so a line nobody keeps
+  /// is never formatted. Never touches protocol state.
+  template <typename Fn>
+  void log(const Endpoint& from, Fn&& fill) {
+    log(from, active_trace_id_, std::forward<Fn>(fill));
+  }
+  template <typename Fn>
+  void log(const Endpoint& from, std::uint64_t trace_id, Fn&& fill) {
+    if (span_sink_ == nullptr || !span_sink_->wants(trace_id)) return;
+    std::ostringstream os;
+    fill(os);
+    record_log(from, trace_id, std::move(os).str());
   }
 
   /// Reserves a fresh trace id without sending anything — for originators
@@ -308,6 +327,8 @@ class Network {
   [[nodiscard]] SimTime disturbance_delay();
   void record_span(obs::SpanEvent::Kind kind, const Message& msg,
                    const Endpoint& from, const Endpoint& to);
+  void record_log(const Endpoint& from, std::uint64_t trace_id,
+                  std::string message);
   void notify_activity();
 
   EventQueue& events_;

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "obs/trace.hpp"
-
 namespace net {
 
 ConvergenceProbe::ConvergenceProbe(Network& network, obs::Histogram& histogram,
@@ -27,8 +25,8 @@ void ConvergenceProbe::arm(std::string label) {
 void ConvergenceProbe::record_marker(obs::SpanEvent::Kind kind, SimTime at) {
   // Measurement-window markers for the span stream: arm stamps the
   // perturbation, fire stamps the convergence instant, so a (sampled)
-  // spans JSONL is self-contained for critical-path analysis. trace_id 0
-  // bypasses head-based sampling (see obs::SamplingSpanSink).
+  // spans JSONL is self-contained for critical-path analysis. Markers
+  // bypass head-based sampling (see obs::SamplingSpanSink).
   obs::SpanSink* sink = network_.span_sink();
   if (sink == nullptr) return;
   obs::SpanEvent event;
@@ -67,10 +65,6 @@ void ConvergenceProbe::check() {
   // recorded in between (that is what quiet means), so the span stream
   // stays time-ordered.
   record_marker(obs::SpanEvent::Kind::kProbeFire, last_activity_);
-  obs::log_info("net.probe", [&](auto& os) {
-    os << "converged" << (label_.empty() ? "" : " after ") << label_ << " in "
-       << converge.to_string();
-  });
 }
 
 }  // namespace net

@@ -15,6 +15,7 @@ std::string_view to_string(SpanEvent::Kind kind) {
     case SpanEvent::Kind::kDrop: return "drop";
     case SpanEvent::Kind::kProbeArm: return "probe-arm";
     case SpanEvent::Kind::kProbeFire: return "probe-fire";
+    case SpanEvent::Kind::kLog: return "log";
   }
   return "?";
 }
@@ -23,7 +24,8 @@ bool kind_from_string(std::string_view text, SpanEvent::Kind& out) {
   for (const auto kind :
        {SpanEvent::Kind::kSend, SpanEvent::Kind::kDeliver,
         SpanEvent::Kind::kHold, SpanEvent::Kind::kDrop,
-        SpanEvent::Kind::kProbeArm, SpanEvent::Kind::kProbeFire}) {
+        SpanEvent::Kind::kProbeArm, SpanEvent::Kind::kProbeFire,
+        SpanEvent::Kind::kLog}) {
     if (text == to_string(kind)) {
       out = kind;
       return true;
@@ -51,14 +53,16 @@ SamplingSpanSink::SamplingSpanSink(SpanSink& inner, double rate)
                            << 11) {}
 
 bool SamplingSpanSink::wants(std::uint64_t trace_id) const {
-  if (trace_id == 0 || keep_all_) return true;  // markers always pass
-  return span_hash(trace_id) < threshold_;
+  if (keep_all_) return true;
+  return trace_id != 0 && span_hash(trace_id) < threshold_;
 }
 
 void SamplingSpanSink::record(const SpanEvent& event) {
-  // Self-gating keeps direct record() calls (probe markers, tests)
-  // consistent with the network's wants() pre-filter.
-  if (!wants(event.trace_id)) return;
+  // Self-gating keeps direct record() calls (tests) consistent with the
+  // network's wants() pre-filter; probe markers bypass it.
+  const bool marker = event.kind == SpanEvent::Kind::kProbeArm ||
+                      event.kind == SpanEvent::Kind::kProbeFire;
+  if (!marker && !wants(event.trace_id)) return;
   ++recorded_;
   inner_->record(event);
 }
@@ -92,18 +96,6 @@ std::vector<SpanEvent> MemorySpanSink::events_for(
     if (e.trace_id == trace_id) out.push_back(e);
   }
   return out;
-}
-
-void FlightRecorderSink::record(const SpanEvent& event) {
-  if (events_.size() == capacity_) {
-    events_.pop_front();
-    ++evicted_;
-  }
-  events_.push_back(event);
-}
-
-void FlightRecorderSink::dump(std::ostream& os) const {
-  for (const SpanEvent& e : events_) detail::write_span_jsonl(e, os);
 }
 
 }  // namespace obs

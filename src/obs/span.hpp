@@ -1,25 +1,24 @@
-// Causal message spans: the flight-recorder side of the observability
-// layer.
+// Causal message spans: the simulator's one event stream.
 //
 // net::Network stamps every originated message with a monotonically
 // increasing trace id and propagates it to messages derived inside a
 // delivery (see network.hpp). Each send/deliver/hold/drop becomes a
-// SpanEvent pushed at a SpanSink, so one protocol-level causal chain — a
-// BGMP join travelling leaf→root, a MASC claim through its collision and
-// re-claim — can be reconstructed after the fact by filtering the recorded
+// SpanEvent pushed at a SpanSink, and so does each protocol log line
+// (Network::log), so one protocol-level causal chain — a BGMP join
+// travelling leaf→root, a MASC claim through its collision and re-claim —
+// can be reconstructed, narration included, by filtering the recorded
 // events on a single trace id.
 //
 // JSONL schema (one object per line, documented in DESIGN.md):
 //   {"trace_id":7,"sim_time_seconds":0.01,"event":"send",
 //    "from":"D2/bgmp","to":"D1/bgmp","message":"JOIN (*,G) ..."}
 //
-// Like obs/trace.hpp, this header must stay free of net's .cpp symbols:
+// This header must stay free of net's .cpp symbols:
 // net links obs, not the other way around, so only net's inline headers
 // (SimTime) appear here.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -43,6 +42,11 @@ struct SpanEvent {
     /// the measurement windows the critical-path analyzer cuts on.
     kProbeArm,
     kProbeFire,
+    /// A protocol log line (Network::log): `from` is the emitting node,
+    /// `to` is empty. It rides the chain it belongs to (0 outside any), so
+    /// it is sampled with that chain; an unchained line is kept only by
+    /// sinks that keep everything.
+    kLog,
   };
 
   std::uint64_t trace_id = 0;
@@ -50,7 +54,7 @@ struct SpanEvent {
   Kind kind = Kind::kSend;
   std::string from;     ///< sending endpoint name
   std::string to;       ///< receiving endpoint name
-  std::string message;  ///< Message::describe() (probe markers: the label)
+  std::string message;  ///< describe(); probe markers: label; log: text
 };
 
 [[nodiscard]] std::string_view to_string(SpanEvent::Kind kind);
@@ -99,34 +103,13 @@ class MemorySpanSink final : public SpanSink {
   std::vector<SpanEvent> events_;
 };
 
-/// Bounded ring of the most recent events — a crash/debug flight recorder
-/// that can run always-on in long simulations. dump() writes the retained
-/// window as JSONL, oldest first.
-class FlightRecorderSink final : public SpanSink {
- public:
-  explicit FlightRecorderSink(std::size_t capacity = 4096)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  void record(const SpanEvent& event) override;
-  void dump(std::ostream& os) const;
-
-  [[nodiscard]] const std::deque<SpanEvent>& events() const { return events_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t evicted() const { return evicted_; }
-  void clear() { events_.clear(); }
-
- private:
-  std::size_t capacity_;
-  std::uint64_t evicted_ = 0;
-  std::deque<SpanEvent> events_;
-};
-
 /// Deterministic head-based sampling: a chain is kept iff a fixed hash of
 /// its trace id falls under the rate threshold, so a 1% rate keeps whole
 /// causal chains intact (every hop of a kept chain passes) and the kept
 /// set is byte-identical across reruns and thread counts — the sample is
 /// a function of the id, never of arrival order or wall clock. Probe
-/// markers (trace_id 0) always pass.
+/// markers always pass; other records outside any chain (trace_id 0:
+/// unchained log lines) pass only at rate 1.
 class SamplingSpanSink final : public SpanSink {
  public:
   /// `inner` receives the sampled events and must outlive this sink.
@@ -153,7 +136,7 @@ class SamplingSpanSink final : public SpanSink {
 [[nodiscard]] std::uint64_t span_hash(std::uint64_t x);
 
 namespace detail {
-/// Shared JSONL rendering used by JsonlSpanSink and FlightRecorderSink.
+/// The JSONL rendering behind JsonlSpanSink (also used for offline dumps).
 void write_span_jsonl(const SpanEvent& event, std::ostream& os);
 }  // namespace detail
 

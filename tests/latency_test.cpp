@@ -1,7 +1,8 @@
 // Stack-level tests for the second observability tier: causal trace-id
 // propagation across lossy and partitioned links, span reconstruction of a
-// BGMP join leaf→root from the JSONL flight-recorder format, the
-// convergence probe's one-sample-per-perturbation contract, the five
+// BGMP join leaf→root from the span JSONL format, the convergence probe's
+// one-sample-per-perturbation contract, protocol log records on the span
+// stream (clock, chain, sampling, JSONL, analyzer), the five
 // <module>.<noun>_latency instruments, and gauge stability across
 // back-to-back snapshots of a quiescent network.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "core/domain.hpp"
 #include "core/internet.hpp"
+#include "eval/critical_path.hpp"
 #include "masc/node.hpp"
 #include "net/network.hpp"
 #include "net/probe.hpp"
@@ -210,6 +212,204 @@ TEST(Spans, BgmpJoinReconstructsLeafToRootFromJsonl) {
     }
     EXPECT_TRUE(found) << "missing (in order): " << want;
   }
+}
+
+// ------------------------------------------------------------ log records
+
+std::vector<obs::SpanEvent> log_records(const obs::MemorySpanSink& sink) {
+  std::vector<obs::SpanEvent> out;
+  for (const obs::SpanEvent& e : sink.events()) {
+    if (e.kind == obs::SpanEvent::Kind::kLog) out.push_back(e);
+  }
+  return out;
+}
+
+/// A top-level MASC domain whose request logs "claiming …" at once.
+Domain& claimer(Internet& net) {
+  Domain& d = net.add_domain({.id = 1, .name = "top"});
+  d.masc_node().set_spaces({net::multicast_space()});
+  return d;
+}
+
+TEST(LogRecords, CoexistingInternetsEachStampTheirOwnSimTime) {
+  // Each record takes its time from the network that emits it, so an
+  // internet built (and dropped) later cannot restamp an earlier one's.
+  Internet first;
+  obs::MemorySpanSink first_sink;
+  first.network().set_span_sink(&first_sink);
+  Domain& a = claimer(first);
+  first.run_until(net::SimTime::seconds(5));
+  {
+    Internet second;
+    obs::MemorySpanSink second_sink;
+    second.network().set_span_sink(&second_sink);
+    Domain& b = claimer(second);
+    second.run_until(net::SimTime::seconds(9));
+    b.masc_node().request_space(256);
+    a.masc_node().request_space(256);
+    const auto theirs = log_records(second_sink);
+    ASSERT_EQ(theirs.size(), 1u);
+    EXPECT_EQ(theirs[0].sim_time, net::SimTime::seconds(9));
+    EXPECT_EQ(theirs[0].message.rfind("claiming ", 0), 0u);
+    second.network().set_span_sink(nullptr);
+  }
+  first.settle();  // the claim is granted after its waiting period
+  const auto ours = log_records(first_sink);
+  ASSERT_EQ(ours.size(), 2u);
+  EXPECT_EQ(ours[0].sim_time, net::SimTime::seconds(5));
+  EXPECT_EQ(ours[0].from, a.masc_node().name());
+  EXPECT_GT(ours[1].sim_time, net::SimTime::seconds(5));
+  EXPECT_EQ(ours[1].message.rfind("granted ", 0), 0u);
+  // Both lines narrate one claim: they share its chain.
+  EXPECT_NE(ours[0].trace_id, 0u);
+  EXPECT_EQ(ours[1].trace_id, ours[0].trace_id);
+}
+
+/// Logs one line per delivered message, on the ambient chain.
+struct Narrator final : net::Endpoint {
+  net::Network* network = nullptr;
+  void on_message(net::ChannelId, std::unique_ptr<net::Message>) override {
+    network->log(*this, [](std::ostream& os) { os << "got it"; });
+  }
+  [[nodiscard]] std::string name() const override { return "narrator"; }
+};
+
+TEST(LogRecords, InsideADeliveryTheyRideTheAmbientChainAndItsSample) {
+  net::EventQueue events;
+  net::Network network(events);
+  obs::MemorySpanSink memory;
+  obs::SamplingSpanSink sampler(memory, 0.5);
+  network.set_span_sink(&sampler);
+  TestEndpoint a("A");
+  Narrator narrator;
+  narrator.network = &network;
+  const net::ChannelId ch = network.connect(a, narrator);
+
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 64; ++i) {
+    ids.push_back(network.send(ch, a, std::make_unique<TestMsg>()));
+  }
+  events.run();
+
+  std::size_t kept = 0;
+  for (const std::uint64_t id : ids) {
+    const auto chain = memory.events_for(id);
+    if (!sampler.wants(id)) {
+      EXPECT_TRUE(chain.empty()) << "chain " << id;
+      continue;
+    }
+    ++kept;
+    // send, deliver, then the line the handler logged on that chain.
+    ASSERT_EQ(chain.size(), 3u) << "chain " << id;
+    EXPECT_EQ(chain[2].kind, obs::SpanEvent::Kind::kLog);
+    EXPECT_EQ(chain[2].from, "narrator");
+    EXPECT_EQ(chain[2].message, "got it");
+    EXPECT_EQ(chain[2].sim_time, chain[1].sim_time);
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_LT(kept, ids.size());
+  EXPECT_EQ(memory.events_for(0).size(), 0u);
+}
+
+TEST(LogRecords, UnchainedLinesAreDroppedBelowRateOneWithoutFormatting) {
+  net::EventQueue events;
+  net::Network network(events);
+  TestEndpoint a("A");
+  int formatted = 0;
+  const auto fill = [&formatted](std::ostream& os) {
+    ++formatted;
+    os << "outside any chain";
+  };
+
+  network.log(a, fill);  // no sink: nothing to format for
+  EXPECT_EQ(formatted, 0);
+
+  obs::MemorySpanSink memory;
+  obs::SamplingSpanSink sampled(memory, 0.99);
+  network.set_span_sink(&sampled);
+  network.log(a, fill);
+  EXPECT_EQ(formatted, 0);
+  EXPECT_TRUE(memory.events().empty());
+
+  obs::SamplingSpanSink everything(memory, 1.0);
+  network.set_span_sink(&everything);
+  network.log(a, fill);
+  network.set_span_sink(&memory);
+  network.log(a, fill);
+  EXPECT_EQ(formatted, 2);
+  ASSERT_EQ(memory.events().size(), 2u);
+  for (const obs::SpanEvent& e : memory.events()) {
+    EXPECT_EQ(e.kind, obs::SpanEvent::Kind::kLog);
+    EXPECT_EQ(e.trace_id, 0u);
+    EXPECT_EQ(e.from, "A");
+    EXPECT_EQ(e.message, "outside any chain");
+  }
+}
+
+TEST(LogRecords, RoundTripThroughJsonl) {
+  obs::SpanEvent log;
+  log.trace_id = 42;
+  log.sim_time = net::SimTime::milliseconds(2250);
+  log.kind = obs::SpanEvent::Kind::kLog;
+  log.from = "AS7-R0";
+  log.message = "collision on 224.0.1.0/24 from AS3; \"retrying\"\tnow";
+  std::stringstream jsonl;
+  obs::detail::write_span_jsonl(log, jsonl);
+  const std::vector<obs::SpanEvent> back = eval::read_spans_jsonl(jsonl);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].trace_id, log.trace_id);
+  EXPECT_EQ(back[0].sim_time, log.sim_time);
+  EXPECT_EQ(back[0].kind, obs::SpanEvent::Kind::kLog);
+  EXPECT_EQ(back[0].from, log.from);
+  EXPECT_EQ(back[0].to, "");
+  EXPECT_EQ(back[0].message, log.message);
+}
+
+TEST(LogRecords, AnalyzerWindowsAndHopsIgnoreInterleavedLogs) {
+  // A link flap under a BGMP tree: the repair narration lands inside the
+  // measurement windows, and the critical-path report is the one the
+  // same stream gives without it.
+  Internet net;
+  obs::MemorySpanSink sink;
+  net.network().set_span_sink(&sink);
+  Domain& root = net.add_domain({.id = 1, .name = "root"});
+  Domain& mid = net.add_domain({.id = 2, .name = "mid"});
+  Domain& leaf = net.add_domain({.id = 3, .name = "leaf"});
+  net.link(root, mid);
+  net.link(mid, leaf);
+  for (Domain* d : {&root, &mid, &leaf}) d->announce_unicast();
+  root.originate_group_range(net::Prefix::parse("224.0.128.0/24"));
+  net.settle();
+  leaf.host_join(net::Ipv4Addr::parse("224.0.128.1"));
+  net.settle();
+  net.set_link_state(mid, leaf, false);
+  net.settle();
+  net.set_link_state(mid, leaf, true);
+  net.settle();
+
+  std::vector<obs::SpanEvent> without_logs;
+  for (const obs::SpanEvent& e : sink.events()) {
+    if (e.kind != obs::SpanEvent::Kind::kLog) without_logs.push_back(e);
+  }
+  const eval::CriticalPathReport with = eval::analyze_spans(sink.events());
+  eval::CriticalPathReport without = eval::analyze_spans(without_logs);
+  ASSERT_EQ(with.windows.size(), 2u);
+  std::size_t logs_inside = 0;
+  for (const obs::SpanEvent& e : log_records(sink)) {
+    const double at = e.sim_time.to_seconds();
+    for (const eval::ConvergenceWindow& w : with.windows) {
+      if (at >= w.armed_at && at <= w.converged_at) ++logs_inside;
+    }
+  }
+  EXPECT_GT(logs_inside, 0u);
+  EXPECT_GT(with.windows[0].hops + with.windows[1].hops, 0u);
+  EXPECT_GT(with.events_seen, without.events_seen);
+  without.events_seen = with.events_seen;  // the only field logs change
+  std::ostringstream a;
+  std::ostringstream b;
+  with.write_json(a);
+  without.write_json(b);
+  EXPECT_EQ(a.str(), b.str());
 }
 
 // -------------------------------------------------------- convergence probe

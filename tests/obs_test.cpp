@@ -1,7 +1,6 @@
 // Tests for the observability layer: the metrics registry / snapshots,
-// latency histograms, causal span sinks, and the structured trace sinks
-// (ring buffer, JSONL, level gating, sim-time stamping from an attached
-// EventQueue clock).
+// latency histograms, and the span sinks — message spans, probe markers
+// and log records on one stream, with head-based sampling.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,7 +18,6 @@
 #include "obs/recorder.hpp"
 #include "obs/sharded.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace obs {
 namespace {
@@ -387,145 +385,26 @@ TEST(Spans, JsonlSinkEmitsDocumentedSchema) {
   EXPECT_EQ(line.back(), '\n');
 }
 
-TEST(Spans, FlightRecorderEvictsOldestAtCapacity) {
-  FlightRecorderSink recorder(2);
-  recorder.record(make_span(1, SpanEvent::Kind::kSend));
-  recorder.record(make_span(2, SpanEvent::Kind::kSend));
-  recorder.record(make_span(3, SpanEvent::Kind::kSend));
-  EXPECT_EQ(recorder.evicted(), 1u);
-  ASSERT_EQ(recorder.events().size(), 2u);
-  EXPECT_EQ(recorder.events().front().trace_id, 2u);
-  EXPECT_EQ(recorder.events().back().trace_id, 3u);
+TEST(Spans, LogRecordsUseTheSpanSchema) {
+  SpanEvent log;
+  log.trace_id = 0;
+  log.sim_time = net::SimTime::milliseconds(1500);
+  log.kind = SpanEvent::Kind::kLog;
+  log.from = "AS7-R0";
+  log.message = "he said \"hi\"";
   std::ostringstream out;
-  recorder.dump(out);
-  EXPECT_EQ(out.str().find("\"trace_id\":1"), std::string::npos);
-  EXPECT_NE(out.str().find("\"trace_id\":3"), std::string::npos);
-}
-
-// ----------------------------------------------------------------- Tracer
-
-class TracerTest : public ::testing::Test {
- protected:
-  void SetUp() override { tracer().reset(); }
-  void TearDown() override { tracer().reset(); }
-};
-
-TEST_F(TracerTest, RingBufferRecordsCarrySimTimeAndOrder) {
-  tracer().clear_sinks();
-  auto ring = std::make_shared<RingBufferSink>();
-  tracer().add_sink(ring);
-  tracer().level() = TraceLevel::kInfo;
-
-  net::EventQueue queue;
-  tracer().set_clock(&queue);
-  queue.schedule_at(net::SimTime::seconds(1), [] {
-    log_info("test", [](std::ostream& os) { os << "first"; });
-  });
-  queue.schedule_at(net::SimTime::seconds(3), [] {
-    log_info("test", [](std::ostream& os) { os << "second"; });
-  });
-  queue.run();
-
-  ASSERT_EQ(ring->records().size(), 2u);
-  EXPECT_EQ(ring->records()[0].message, "first");
-  EXPECT_EQ(ring->records()[0].sim_time, net::SimTime::seconds(1));
-  EXPECT_EQ(ring->records()[0].tag, "test");
-  EXPECT_EQ(ring->records()[1].message, "second");
-  EXPECT_EQ(ring->records()[1].sim_time, net::SimTime::seconds(3));
-}
-
-TEST_F(TracerTest, RingBufferEvictsOldestAtCapacity) {
-  tracer().clear_sinks();
-  auto ring = std::make_shared<RingBufferSink>(2);
-  tracer().add_sink(ring);
-  tracer().level() = TraceLevel::kInfo;
-  for (int i = 0; i < 5; ++i) {
-    log_info("tag", [i](std::ostream& os) { os << "msg" << i; });
-  }
-  EXPECT_EQ(ring->capacity(), 2u);
-  ASSERT_EQ(ring->records().size(), 2u);
-  EXPECT_EQ(ring->evicted(), 3u);
-  EXPECT_EQ(ring->records()[0].message, "msg3");
-  EXPECT_EQ(ring->records()[1].message, "msg4");
-  ring->clear();
-  EXPECT_TRUE(ring->records().empty());
-}
-
-TEST_F(TracerTest, LevelGatesDebugBelowInfo) {
-  tracer().clear_sinks();
-  auto ring = std::make_shared<RingBufferSink>();
-  tracer().add_sink(ring);
-
-  tracer().level() = TraceLevel::kOff;
-  log_info("t", [](std::ostream& os) { os << "silenced"; });
-  EXPECT_TRUE(ring->records().empty());
-
-  tracer().level() = TraceLevel::kInfo;
-  log_debug("t", [](std::ostream& os) { os << "too detailed"; });
-  log_info("t", [](std::ostream& os) { os << "heard"; });
-  ASSERT_EQ(ring->records().size(), 1u);
-  EXPECT_EQ(ring->records()[0].message, "heard");
-  EXPECT_EQ(ring->records()[0].level, TraceLevel::kInfo);
-
-  tracer().level() = TraceLevel::kDebug;
-  log_debug("t", [](std::ostream& os) { os << "now audible"; });
-  EXPECT_EQ(ring->records().size(), 2u);
-}
-
-TEST_F(TracerTest, NoSinksMeansDisabled) {
-  tracer().clear_sinks();
-  tracer().level() = TraceLevel::kDebug;
-  EXPECT_FALSE(tracer().enabled(TraceLevel::kInfo));
-  auto ring = std::make_shared<RingBufferSink>();
-  tracer().add_sink(ring);
-  EXPECT_TRUE(tracer().enabled(TraceLevel::kInfo));
-  EXPECT_EQ(tracer().sink_count(), 1u);
-  tracer().remove_sink(ring.get());
-  EXPECT_EQ(tracer().sink_count(), 0u);
-}
-
-TEST_F(TracerTest, JsonlSinkWritesOneObjectPerLine) {
-  tracer().clear_sinks();
-  std::ostringstream out;
-  tracer().add_sink(std::make_shared<JsonlSink>(out));
-  tracer().level() = TraceLevel::kInfo;
-
-  net::EventQueue queue;
-  tracer().set_clock(&queue);
-  queue.schedule_at(net::SimTime::milliseconds(1500), [] {
-    log_info("bgmp.join", [](std::ostream& os) { os << "he said \"hi\""; });
-  });
-  queue.run();
-
+  JsonlSpanSink sink(out);
+  sink.record(log);
   const std::string line = out.str();
-  EXPECT_NE(line.find("\"sim_time_seconds\":1.5"), std::string::npos);
-  EXPECT_NE(line.find("\"level\":\"info\""), std::string::npos);
-  EXPECT_NE(line.find("\"tag\":\"bgmp.join\""), std::string::npos);
+  EXPECT_NE(line.find("\"trace_id\":0,"), std::string::npos);
+  EXPECT_NE(line.find("\"event\":\"log\""), std::string::npos);
+  EXPECT_NE(line.find("\"from\":\"AS7-R0\""), std::string::npos);
+  EXPECT_NE(line.find("\"to\":\"\""), std::string::npos);
   EXPECT_NE(line.find("\\\"hi\\\""), std::string::npos);  // quotes escaped
   EXPECT_EQ(line.back(), '\n');
-}
-
-TEST_F(TracerTest, ClearClockOnlyDetachesMatchingQueue) {
-  tracer().clear_sinks();
-  auto ring = std::make_shared<RingBufferSink>();
-  tracer().add_sink(ring);
-  tracer().level() = TraceLevel::kInfo;
-
-  net::EventQueue current;
-  net::EventQueue stale;
-  tracer().set_clock(&current);
-  tracer().clear_clock(&stale);  // no-op: not the installed clock
-  current.schedule_at(net::SimTime::seconds(2), [] {
-    log_info("t", [](std::ostream& os) { os << "timed"; });
-  });
-  current.run();
-  ASSERT_EQ(ring->records().size(), 1u);
-  EXPECT_EQ(ring->records()[0].sim_time, net::SimTime::seconds(2));
-
-  tracer().clear_clock(&current);
-  log_info("t", [](std::ostream& os) { os << "untimed"; });
-  ASSERT_EQ(ring->records().size(), 2u);
-  EXPECT_EQ(ring->records()[1].sim_time, net::SimTime());
+  SpanEvent::Kind kind = SpanEvent::Kind::kSend;
+  ASSERT_TRUE(kind_from_string("log", kind));
+  EXPECT_EQ(kind, SpanEvent::Kind::kLog);
 }
 
 // ---------------------------------------------------- registry kind checks
@@ -775,10 +654,30 @@ TEST(Sampling, RateOneKeepsEverythingRateZeroKeepsOnlyMarkers) {
   SamplingSpanSink none(memory, 0.0);
   for (std::uint64_t id = 1; id <= 50; ++id) EXPECT_FALSE(none.wants(id));
   // Probe markers (trace_id 0) bypass sampling at any rate: the analyzer
-  // needs the measurement windows even in a 0%-sampled stream.
-  EXPECT_TRUE(none.wants(0));
+  // needs the measurement windows even in a 0%-sampled stream. They pass
+  // by kind: id 0 itself is "outside any chain", which is not wanted.
+  EXPECT_FALSE(none.wants(0));
   none.record(sampled_span(0, SpanEvent::Kind::kProbeArm));
-  EXPECT_EQ(none.recorded(), 1u);
+  none.record(sampled_span(0, SpanEvent::Kind::kProbeFire));
+  EXPECT_EQ(none.recorded(), 2u);
+}
+
+TEST(Sampling, UnchainedLogRecordsPassOnlyAtRateOne) {
+  // A log line outside any chain belongs to no sampled chain: a sampler
+  // below rate 1 drops it (and says so before it is built), rate 1 and
+  // unsampled sinks keep it.
+  MemorySpanSink memory;
+  SamplingSpanSink half(memory, 0.5);
+  EXPECT_FALSE(half.wants(0));
+  half.record(sampled_span(0, SpanEvent::Kind::kLog));
+  EXPECT_EQ(half.recorded(), 0u);
+  SamplingSpanSink all(memory, 1.0);
+  EXPECT_TRUE(all.wants(0));
+  all.record(sampled_span(0, SpanEvent::Kind::kLog));
+  EXPECT_EQ(all.recorded(), 1u);
+  EXPECT_TRUE(memory.wants(0));
+  ASSERT_EQ(memory.events().size(), 1u);
+  EXPECT_EQ(memory.events()[0].kind, SpanEvent::Kind::kLog);
 }
 
 TEST(Sampling, KeptSetIsAPureFunctionOfTheTraceId) {
