@@ -28,7 +28,9 @@
 //
 // --telemetry runs every rung twice — once bare, once with the obs
 // flight recorder ticking and head-sampled spans attached — and reports
-// the relative events/s cost as `telemetry_overhead`. The off/on pair is
+// the relative events/s cost as `telemetry_overhead`, timed in process
+// CPU seconds so other programs' load on the host drops out of the
+// ratio (the throughput columns stay wall-clock). The off/on pair is
 // interleaved --telemetry-reps times (default 3); the overhead is the
 // median of the per-pair estimates (adjacent passes see the same host,
 // the median discards pairs a noise window straddled) and the throughput
@@ -58,6 +60,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -86,9 +89,18 @@ std::uint64_t peak_rss_kib() {
   return static_cast<std::uint64_t>(usage.ru_maxrss);
 }
 
+/// CPU seconds this process has used so far (all threads).
+double process_cpu_seconds() {
+  timespec ts{};
+  if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) != 0) return 0.0;
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 struct Results {
   eval::ScenarioSpec spec;
   double wall_seconds = 0.0;
+  double cpu_seconds = 0.0;  // process CPU time over the same span
   std::uint64_t events_run = 0;
   std::uint64_t messages_sent = 0;
   std::uint64_t bgp_updates_sent = 0;
@@ -124,8 +136,8 @@ struct Results {
   std::uint64_t recorder_frames = 0;
   std::uint64_t spans_sampled = 0;
   // Filled by the --telemetry comparison pass: throughput with the flight
-  // recorder + span sampling attached, and the relative events/s cost
-  // ((off − on) / off, so 0.03 = 3% slower with telemetry).
+  // recorder + span sampling attached, and the relative CPU-time events/s
+  // cost ((off − on) / off, so 0.03 = 3% slower with telemetry).
   bool telemetry_measured = false;
   double events_per_second_telemetry = 0.0;
   double telemetry_overhead = 0.0;
@@ -136,6 +148,7 @@ Results run_scenario(const eval::ScenarioSpec& spec,
                      const std::string& telemetry_prefix = {}) {
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
+  const double cpu_start = process_cpu_seconds();
 
   core::Internet net(spec.seed);
   // Declared after the internet so it detaches before the network dies.
@@ -178,6 +191,7 @@ Results run_scenario(const eval::ScenarioSpec& spec,
   r.spec = spec;
   r.wall_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
+  r.cpu_seconds = process_cpu_seconds() - cpu_start;
   r.events_run = net.events().events_run();
   r.messages_sent = snap.counter_value("net.messages_sent");
   r.bgp_updates_sent = snap.counter_value("bgp.updates_sent");
@@ -243,22 +257,30 @@ Results run_with_telemetry_column(const eval::ScenarioSpec& spec,
                                   const eval::TelemetrySpec& telemetry,
                                   const std::string& telemetry_prefix,
                                   int reps) {
-  // Wall-clock noise on shared runners easily swamps a single off/on pair
-  // (the raw events/s of identical runs varies by more than the budget),
-  // so the rung runs `reps` interleaved pairs. The two passes of one pair
-  // are adjacent in time and see nearly the same host, so each pair's
-  // relative overhead is close to unbiased; the median across pairs then
-  // discards the pairs a noise window happened to straddle. The reported
-  // throughput columns keep each side's fastest pass. Every pass must
-  // reproduce the same digest and event count — a telemetry build that
-  // changes behavior is a bug, not an overhead.
+  // Host noise on shared runners easily swamps a single off/on pair (the
+  // raw events/s of identical runs varies by more than the budget), so
+  // each pass is timed in process CPU seconds — time this process spent
+  // waiting for the CPU does not count — and the rung runs `reps`
+  // interleaved pairs. The two passes of one pair are adjacent in time
+  // and see nearly the same host (cache and frequency effects remain),
+  // so each pair's relative overhead is close to unbiased; the median
+  // across pairs then discards the pairs a noise window happened to
+  // straddle. The reported throughput columns keep each side's fastest
+  // wall-clock pass. Every pass must reproduce the same digest and event
+  // count — a telemetry build that changes behavior is a bug, not an
+  // overhead.
+  const auto cpu_overhead = [](const Results& off, const Results& on) {
+    const double off_eps =
+        static_cast<double>(off.events_run) / off.cpu_seconds;
+    const double on_eps = static_cast<double>(on.events_run) / on.cpu_seconds;
+    return (off_eps - on_eps) / off_eps;
+  };
   eval::ScenarioSpec on_spec = spec;
   on_spec.telemetry = telemetry;
   Results off = run_scenario(spec);
   Results on = run_scenario(on_spec, telemetry_prefix);
   std::vector<double> pair_overheads;
-  pair_overheads.push_back(
-      (off.events_per_second - on.events_per_second) / off.events_per_second);
+  pair_overheads.push_back(cpu_overhead(off, on));
   for (int rep = 1; rep < reps; ++rep) {
     const Results off_rep = run_scenario(spec);
     const Results on_rep = run_scenario(on_spec);
@@ -273,9 +295,7 @@ Results run_with_telemetry_column(const eval::ScenarioSpec& spec,
                 << on_rep.events_run << "\n";
       std::exit(1);
     }
-    pair_overheads.push_back(
-        (off_rep.events_per_second - on_rep.events_per_second) /
-        off_rep.events_per_second);
+    pair_overheads.push_back(cpu_overhead(off_rep, on_rep));
     off.events_per_second =
         std::max(off.events_per_second, off_rep.events_per_second);
     on.events_per_second =

@@ -9,6 +9,8 @@
 #include "bgp/path_table.hpp"
 #include "bgp/rib.hpp"
 #include "bgp/speaker.hpp"
+#include "core/domain.hpp"
+#include "core/internet.hpp"
 #include "eval/args.hpp"
 #include "eval/tree_model.hpp"
 #include "masc/claim_algorithm.hpp"
@@ -421,6 +423,59 @@ void BM_WorkloadTick(benchmark::State& state) {
       static_cast<double>(engine.members_total());
 }
 BENCHMARK(BM_WorkloadTick)->Arg(10240)->ArgNames({"domains"});
+
+// ------------------------------------------------------ telemetry sampling
+
+// One metrics snapshot of a 1024-domain internet holding BGMP tree state
+// of a churned week's order: 64 backbone tops in a ring, 960 customer
+// children, and every child a member of 56 groups rooted at top 0 —
+// about 57k (*,G) entries across the routers. This is what the flight
+// recorder pays per frame: the refresh hook samples every per-domain
+// gauge (pool occupancy, BGMP and BGP state bytes, table sizes), so a
+// gauge that walks tree state makes the frame grow with the trees.
+void BM_InternetSnapshot(benchmark::State& state) {
+  // Built once per process (never freed): the setup takes about a second,
+  // and google-benchmark re-enters this function for each iteration-count
+  // trial.
+  static core::Internet* const net = [] {
+    constexpr int kDomains = 1024;
+    constexpr int kTops = 64;
+    constexpr int kGroups = 56;
+    auto* internet = new core::Internet(1);
+    std::vector<core::Domain*> domains;
+    for (int i = 0; i < kDomains; ++i) {
+      domains.push_back(&internet->add_domain(
+          {.id = static_cast<bgp::DomainId>(i + 1),
+           .name = "d" + std::to_string(i)}));
+    }
+    for (int t = 0; t < kTops; ++t) {
+      internet->link(*domains[t], *domains[(t + 1) % kTops]);
+    }
+    for (int c = kTops; c < kDomains; ++c) {
+      internet->link(*domains[c], *domains[c % kTops],
+                     bgp::Relationship::kProvider);
+    }
+    domains[0]->originate_group_range(Prefix::parse("224.0.128.0/24"));
+    internet->settle();
+    for (int c = kTops; c < kDomains; ++c) {
+      for (int g = 0; g < kGroups; ++g) {
+        domains[c]->host_join(Ipv4Addr{
+            Ipv4Addr::parse("224.0.128.0").value() +
+            static_cast<std::uint32_t>(g)});
+      }
+    }
+    internet->settle();
+    return internet;
+  }();
+  for (auto _ : state) {
+    const obs::Snapshot snap = net->metrics_snapshot();
+    benchmark::DoNotOptimize(snap.gauge_value("core.state_bytes_per_domain"));
+  }
+  state.counters["domains"] = static_cast<double>(net->domain_count());
+  state.counters["tree_entries"] =
+      net->metrics_snapshot().gauge_value("bgmp.tree_entries");
+}
+BENCHMARK(BM_InternetSnapshot)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "bgmp/router.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 
@@ -224,26 +225,71 @@ const SourceEntry* Router::source_entry(net::Ipv4Addr source,
   return it == source_entries_.end() ? nullptr : &it->second;
 }
 
-std::size_t Router::state_bytes() const {
-  // Map nodes are approximated by their value type plus the three
-  // pointers + colour of a red-black node; target lists report their
-  // actual vector capacities.
-  constexpr std::size_t kNodeOverhead = 4 * sizeof(void*);
+// ------------------------------------------------------ state-byte ledger
+
+namespace {
+
+constexpr std::size_t kNodeOverhead = 4 * sizeof(void*);
+
+std::size_t target_bytes_of(const GroupEntry& entry) {
+  return entry.children.capacity_bytes();
+}
+
+std::size_t target_bytes_of(const SourceEntry& entry) {
+  return entry.children.capacity_bytes() +
+         entry.branch_children.capacity_bytes();
+}
+
+}  // namespace
+
+std::size_t Router::node_bytes() const {
+  return star_entries_.size() *
+             (sizeof(Group) + sizeof(GroupEntry) + kNodeOverhead) +
+         source_entries_.size() *
+             (sizeof(SourceGroup) + sizeof(SourceEntry) + kNodeOverhead) +
+         migp_state_.size() * (sizeof(Group) + sizeof(bool) + kNodeOverhead) +
+         encapsulators_.size() *
+             (sizeof(SourceGroup) + sizeof(Router*) + kNodeOverhead);
+}
+
+std::size_t Router::recount_state_bytes() const {
   std::size_t total = 0;
   for (const auto& [group, entry] : star_entries_) {
     total += sizeof(group) + sizeof(entry) + kNodeOverhead +
-             entry.children.capacity_bytes();
+             target_bytes_of(entry);
   }
   for (const auto& [key, entry] : source_entries_) {
     total += sizeof(key) + sizeof(entry) + kNodeOverhead +
-             entry.children.capacity_bytes() +
-             entry.branch_children.capacity_bytes();
+             target_bytes_of(entry);
   }
   total += migp_state_.size() *
            (sizeof(Group) + sizeof(bool) + kNodeOverhead);
   total += encapsulators_.size() *
            (sizeof(SourceGroup) + sizeof(Router*) + kNodeOverhead);
   return total;
+}
+
+void Router::add_target_ref(TargetList& list, const TargetKey& target) {
+  const std::size_t before = list.capacity_bytes();
+  ++list[target];
+  target_bytes_ += list.capacity_bytes() - before;
+}
+
+void Router::add_branch_child(SourceEntry& entry, const TargetKey& target) {
+  const std::size_t before = entry.branch_children.capacity_bytes();
+  entry.branch_children.insert(target);
+  target_bytes_ += entry.branch_children.capacity_bytes() - before;
+}
+
+void Router::erase_star_entry(std::map<Group, GroupEntry>::iterator it) {
+  target_bytes_ -= target_bytes_of(it->second);
+  star_entries_.erase(it);
+}
+
+std::map<SourceGroup, SourceEntry>::iterator Router::erase_source_entry(
+    std::map<SourceGroup, SourceEntry>::iterator it) {
+  target_bytes_ -= target_bytes_of(it->second);
+  return source_entries_.erase(it);
 }
 
 std::size_t Router::aggregated_star_count() const {
@@ -331,13 +377,14 @@ void Router::lose_all_state() {
   star_entries_.clear();
   source_entries_.clear();
   encapsulators_.clear();
+  target_bytes_ = 0;
   reresolve_pending_ = false;
 }
 
 void Router::add_star_child(Group group, const TargetKey& child) {
   const auto [it, created] = star_entries_.try_emplace(group);
   GroupEntry& entry = it->second;
-  ++entry.children[child];
+  add_target_ref(entry.children, child);
   if (created) {
     // §5.2: look up the group in the G-RIB, set the parent target, and
     // send a join toward the root domain.
@@ -373,7 +420,7 @@ void Router::remove_star_child(Group group, const TargetKey& child) {
       send_control(*entry.parent, entry.parent_relay,
                    ControlMessage::Kind::kPruneGroup, net::Ipv4Addr{}, group);
     }
-    star_entries_.erase(it);
+    erase_star_entry(it);
     metrics_.entries_torn_down->inc();
     network_.log(*this, [&](std::ostream& os) {
       os << "tore down (*,G) for " << group.to_string();
@@ -397,6 +444,7 @@ SourceEntry& Router::get_or_copy_source_entry(net::Ipv4Addr source,
     entry.parent_relay = star->second.parent_relay;
     entry.children = star->second.children;
   }
+  target_bytes_ += target_bytes_of(entry);
   return source_entries_.emplace(key, std::move(entry)).first->second;
 }
 
@@ -469,10 +517,11 @@ void Router::on_channel_down(net::ChannelId channel) {
       drained.insert(key);
     }
   }
-  std::erase_if(source_entries_, [&](const auto& kv) {
-    return (kv.second.parent && *kv.second.parent == dead) ||
-           drained.contains(kv.first);
-  });
+  for (auto it = source_entries_.begin(); it != source_entries_.end();) {
+    const bool via_dead = it->second.parent && *it->second.parent == dead;
+    it = via_dead || drained.contains(it->first) ? erase_source_entry(it)
+                                                 : std::next(it);
+  }
 
   std::vector<Group> orphaned;
   std::vector<Group> emptied;
@@ -498,7 +547,7 @@ void Router::on_channel_down(net::ChannelId channel) {
       send_control(*entry.parent, entry.parent_relay,
                    ControlMessage::Kind::kPruneGroup, net::Ipv4Addr{}, group);
     }
-    star_entries_.erase(it);
+    erase_star_entry(it);
     sync_migp_state(group);
   }
   for (const Group group : orphaned) {
@@ -600,8 +649,8 @@ void Router::handle_join_source(net::Ipv4Addr source, Group group,
   const SourceGroup key{source, group};
   const bool existed = source_entries_.contains(key);
   SourceEntry& entry = get_or_copy_source_entry(source, group);
-  ++entry.children[from];
-  entry.branch_children.insert(from);  // joined directions get branch copies
+  add_target_ref(entry.children, from);
+  add_branch_child(entry, from);  // joined directions get branch copies
   if (existed) {
     sync_migp_state(group);
     return;
@@ -635,7 +684,7 @@ void Router::schedule_prune_expiry(net::Ipv4Addr source, Group group) {
         if (it == source_entries_.end() || !it->second.children.empty()) {
           return;
         }
-        source_entries_.erase(it);
+        erase_source_entry(it);
         sync_migp_state(key.group);
       },
       "bgmp.prune_expiry");
@@ -698,7 +747,7 @@ void Router::request_source_branch(net::Ipv4Addr source, Group group) {
   entry.parent = hop->parent;
   entry.parent_relay = hop->relay;
   entry.toward_source = true;
-  ++entry.children[TargetKey::migp()];
+  add_target_ref(entry.children, TargetKey::migp());
   if (!hop->self_rooted) {
     send_control(hop->parent, hop->relay, ControlMessage::Kind::kJoinSource,
                  source, group);

@@ -175,8 +175,17 @@ class Router final : public net::Endpoint {
   /// the routers wherever the list of targets are the same").
   [[nodiscard]] std::size_t aggregated_star_count() const;
   /// Bytes of tree state held by this router: (*,G)/(S,G) entry nodes plus
-  /// their flat target lists. Feeds the core.state_bytes_per_domain gauge.
-  [[nodiscard]] std::size_t state_bytes() const;
+  /// their flat target lists. Feeds the core.state_bytes_per_domain gauge,
+  /// which every telemetry frame samples on every router, so it is O(1):
+  /// node bytes follow from the map sizes and the target-list capacities
+  /// are a running total kept by every site that creates, grows or drops
+  /// an entry.
+  [[nodiscard]] std::size_t state_bytes() const {
+    return node_bytes() + target_bytes_;
+  }
+  /// The same figure by a full walk of every entry — the oracle the tests
+  /// hold the running total to.
+  [[nodiscard]] std::size_t recount_state_bytes() const;
   [[nodiscard]] bgp::Speaker& speaker() { return speaker_; }
   [[nodiscard]] const bgp::Speaker& speaker() const { return speaker_; }
 
@@ -292,6 +301,19 @@ class Router final : public net::Endpoint {
   void reresolve_parents();
 
   SourceEntry& get_or_copy_source_entry(net::Ipv4Addr source, Group group);
+
+  // -- state-byte ledger ----------------------------------------------------
+  /// Map-node bytes: red-black nodes are approximated by their value type
+  /// plus the three pointers + colour of a node.
+  [[nodiscard]] std::size_t node_bytes() const;
+  /// Adds one reference to `target` in `list`, accounting any regrowth.
+  void add_target_ref(TargetList& list, const TargetKey& target);
+  /// Adds `target` to an (S,G) entry's branch set, accounting regrowth.
+  void add_branch_child(SourceEntry& entry, const TargetKey& target);
+  /// Erases an entry, releasing its target-list bytes from the ledger.
+  void erase_star_entry(std::map<Group, GroupEntry>::iterator it);
+  std::map<SourceGroup, SourceEntry>::iterator erase_source_entry(
+      std::map<SourceGroup, SourceEntry>::iterator it);
   /// Schedules the soft-state expiry of a fully-pruned (S,G) entry.
   void schedule_prune_expiry(net::Ipv4Addr source, Group group);
 
@@ -335,6 +357,8 @@ class Router final : public net::Endpoint {
   /// Encapsulating routers per (S,G) — the targets of the §5.3 prune once
   /// a source-specific branch delivers native data.
   std::map<SourceGroup, Router*> encapsulators_;
+  /// Target-list capacity bytes summed over every (*,G) and (S,G) entry.
+  std::size_t target_bytes_ = 0;
 };
 
 }  // namespace bgmp

@@ -247,11 +247,11 @@ void MascNode::propagate_claim_to_children(const ClaimMessage& msg,
   }
 }
 
-void MascNode::send_collision_to(const PeerLink& to,
-                                 const net::Prefix& prefix) {
+void MascNode::send_collision_to(const PeerLink& to, const net::Prefix& prefix,
+                                 DomainId winner) {
   auto msg = std::make_unique<CollisionMessage>();
   msg->prefix = prefix;
-  msg->winner = domain_;
+  msg->winner = winner;
   network_.send(to.channel, *this, std::move(msg));
 }
 
@@ -263,7 +263,7 @@ void MascNode::handle_claim(const PeerLink& from, const ClaimMessage& msg) {
   // Does it collide with our pending claim?
   if (pending_ && pending_->prefix.overlaps(msg.prefix)) {
     if (we_win(pending_->claim_time, msg.claim_time, msg.claimant)) {
-      send_collision_to(from, msg.prefix);
+      send_collision_to(from, msg.prefix, domain_);
       // Do not record the loser's claim.
       return;
     }
@@ -289,7 +289,7 @@ void MascNode::handle_claim(const PeerLink& from, const ClaimMessage& msg) {
                                   ? our_time->second
                                   : net::SimTime{};
     if (we_win(ours, msg.claim_time, msg.claimant)) {
-      send_collision_to(from, msg.prefix);
+      send_collision_to(from, msg.prefix, domain_);
       return;
     }
     // Partition-heal edge: we lose a range we already committed. Give it
@@ -316,7 +316,7 @@ void MascNode::handle_child_claim(const PeerLink& from,
       pool_.prefixes().begin(), pool_.prefixes().end(),
       [&](const ClaimedPrefix& held) { return held.prefix.contains(msg.prefix); });
   if (!inside) {
-    send_collision_to(from, msg.prefix);
+    send_collision_to(from, msg.prefix, domain_);
     return;
   }
   // Arbitrate against other children's claims in our space.
@@ -331,7 +331,7 @@ void MascNode::handle_child_claim(const PeerLink& from,
             ? msg.claim_time < theirs
             : msg.claimant < conflict->second.owner;
     if (!new_claim_wins) {
-      send_collision_to(from, msg.prefix);
+      send_collision_to(from, msg.prefix, conflict->second.owner);
       return;
     }
     // The earlier record loses (partition-heal ordering): evict it and
@@ -341,10 +341,7 @@ void MascNode::handle_child_claim(const PeerLink& from,
     child_claim_times_.erase(conflict->first);
     for (const PeerLink& l : links_) {
       if (l.kind == PeerKind::kChild && l.domain == loser) {
-        auto coll = std::make_unique<CollisionMessage>();
-        coll->prefix = conflict->first;
-        coll->winner = msg.claimant;
-        network_.send(l.channel, *this, std::move(coll));
+        send_collision_to(l, conflict->first, msg.claimant);
       }
     }
   }

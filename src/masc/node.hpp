@@ -201,7 +201,10 @@ class MascNode final : public net::Endpoint {
   void claim_granted();
   void abort_pending_and_retry();
   void send_advertisements(std::uint64_t trace_id = 0);
-  void send_collision_to(const PeerLink& to, const net::Prefix& prefix);
+  /// Tells `to` its claim on `prefix` lost; `winner` names the domain
+  /// whose claim stands (this node, or the child it arbitrated for).
+  void send_collision_to(const PeerLink& to, const net::Prefix& prefix,
+                         DomainId winner);
 
   /// True if `ours` beats `theirs` (§4.1 footnote: winner by timestamps,
   /// then domain ids).

@@ -25,6 +25,7 @@ void DomainPool::add_prefix(const net::Prefix& prefix, net::SimTime expires,
     }
   }
   prefixes_.push_back(ClaimedPrefix{prefix, expires, active});
+  claimed_ += prefix.size();
 }
 
 void DomainPool::apply_double(const net::Prefix& prefix,
@@ -37,6 +38,7 @@ void DomainPool::apply_double(const net::Prefix& prefix,
   }
   const std::optional<net::Prefix> parent = prefix.parent();
   if (!parent) throw std::logic_error("DomainPool::apply_double: /0");
+  claimed_ += parent->size() - prefix.size();
   it->prefix = *parent;
   it->expires = std::max(it->expires, expires);
 }
@@ -58,6 +60,7 @@ void DomainPool::remove_prefix(const net::Prefix& prefix) {
                              prefix.to_string());
     }
   }
+  claimed_ -= prefix.size();
   prefixes_.erase(it);
 }
 
@@ -65,7 +68,7 @@ std::vector<Block> DomainPool::remove_prefix_force(const net::Prefix& prefix) {
   std::vector<Block> destroyed;
   std::erase_if(blocks_, [&](const Block& b) {
     if (!prefix.contains(b.range)) return false;
-    occupied_.erase(b.range);
+    drop_block(b);
     destroyed.push_back(b);
     return true;
   });
@@ -101,6 +104,7 @@ std::vector<DomainPool::MergeEvent> DomainPool::aggregate_prefixes(
         event.merged = *parent;
         event.left = std::min(prefixes_[i].prefix, prefixes_[j].prefix);
         event.right = std::max(prefixes_[i].prefix, prefixes_[j].prefix);
+        // Two siblings become their parent: claimed_ is unchanged.
         prefixes_[i].prefix = *parent;
         prefixes_[i].expires =
             std::max(prefixes_[i].expires, prefixes_[j].expires);
@@ -148,10 +152,7 @@ std::optional<Block> DomainPool::request_block(std::uint64_t addresses,
   }
   const std::optional<net::Prefix> slot = place_block(addresses, now);
   if (!slot) return std::nullopt;
-  Block block{next_block_id_++, *slot, now + lifetime};
-  occupied_.insert(*slot, block.id);
-  blocks_.push_back(block);
-  return block;
+  return add_block(*slot, now + lifetime);
 }
 
 std::optional<Block> DomainPool::place_block_at(const net::Prefix& range,
@@ -162,17 +163,27 @@ std::optional<Block> DomainPool::place_block_at(const net::Prefix& range,
         return (p.active || !require_active) && p.prefix.contains(range);
       });
   if (!inside || occupied_.overlaps_any(range)) return std::nullopt;
+  return add_block(range, expires);
+}
+
+Block DomainPool::add_block(const net::Prefix& range, net::SimTime expires) {
   Block block{next_block_id_++, range, expires};
   occupied_.insert(range, block.id);
   blocks_.push_back(block);
+  allocated_ += range.size();
   return block;
+}
+
+void DomainPool::drop_block(const Block& block) {
+  occupied_.erase(block.range);
+  allocated_ -= block.range.size();
 }
 
 bool DomainPool::release_block(std::uint64_t id) {
   const auto it = std::find_if(blocks_.begin(), blocks_.end(),
                                [&](const Block& b) { return b.id == id; });
   if (it == blocks_.end()) return false;
-  occupied_.erase(it->range);
+  drop_block(*it);
   blocks_.erase(it);
   return true;
 }
@@ -181,7 +192,7 @@ std::vector<net::Prefix> DomainPool::age(net::SimTime now) {
   // Expired blocks free their ranges.
   std::erase_if(blocks_, [&](const Block& b) {
     if (b.expires > now) return false;
-    occupied_.erase(b.range);
+    drop_block(b);
     return true;
   });
   // Prefixes: renew if still in use; surrender if lapsed and empty.
@@ -206,6 +217,7 @@ std::vector<net::Prefix> DomainPool::age(net::SimTime now) {
       return false;
     }
     released.push_back(held.prefix);
+    claimed_ -= held.prefix.size();
     return true;
   });
   return released;
@@ -287,18 +299,6 @@ std::optional<ExpansionPlan> DomainPool::plan_expansion(
   // ~2x over-provisioning).
   return ExpansionPlan{ExpansionPlan::Kind::kRenumber, net::Prefix{},
                        mask_length_for(std::max(demand, deficit_addresses))};
-}
-
-std::uint64_t DomainPool::claimed_addresses() const {
-  std::uint64_t total = 0;
-  for (const ClaimedPrefix& p : prefixes_) total += p.prefix.size();
-  return total;
-}
-
-std::uint64_t DomainPool::allocated_addresses() const {
-  std::uint64_t total = 0;
-  for (const Block& b : blocks_) total += b.range.size();
-  return total;
 }
 
 double DomainPool::utilization() const {

@@ -118,17 +118,26 @@ class DomainPool {
       const std::function<bool(const net::Prefix&)>& can_double_fn) const;
 
   // -- metrics -------------------------------------------------------------
-  [[nodiscard]] std::uint64_t claimed_addresses() const;
-  [[nodiscard]] std::uint64_t allocated_addresses() const;
+  /// Addresses across the held prefixes and across the live blocks. Both
+  /// are running totals kept by every call that adds, resizes or drops a
+  /// prefix or a block: telemetry samples them on every domain per frame.
+  [[nodiscard]] std::uint64_t claimed_addresses() const { return claimed_; }
+  [[nodiscard]] std::uint64_t allocated_addresses() const {
+    return allocated_;
+  }
   [[nodiscard]] double utilization() const;
   [[nodiscard]] const std::vector<ClaimedPrefix>& prefixes() const {
     return prefixes_;
   }
-  [[nodiscard]] std::size_t live_block_count() const { return blocks_.size(); }
+  [[nodiscard]] const std::vector<Block>& blocks() const { return blocks_; }
 
  private:
   [[nodiscard]] std::optional<net::Prefix> place_block(std::uint64_t addresses,
                                                        net::SimTime now);
+  /// Records a new live block over `range` (no overlap checks).
+  Block add_block(const net::Prefix& range, net::SimTime expires);
+  /// Frees a live block's range; the caller erases it from blocks_.
+  void drop_block(const Block& block);
 
   DomainId domain_;
   PoolParams params_;
@@ -137,6 +146,8 @@ class DomainPool {
   /// Occupied sub-ranges within the claimed prefixes (block placement).
   net::PrefixTrie<std::uint64_t> occupied_;  // block range -> block id
   std::uint64_t next_block_id_ = 1;
+  std::uint64_t claimed_ = 0;    ///< sum of prefixes_ sizes
+  std::uint64_t allocated_ = 0;  ///< sum of blocks_ range sizes
 };
 
 }  // namespace masc

@@ -1,12 +1,19 @@
-// Tests for BGMP forwarding-state aggregation (§7) and soft prune state.
+// Tests for BGMP forwarding-state aggregation (§7), soft prune state and
+// the running state-byte total the telemetry gauges read.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/domain.hpp"
 #include "core/internet.hpp"
 #include "net/prefix.hpp"
+#include "net/rng.hpp"
+#include "topology/graph.hpp"
 
 namespace core {
 namespace {
@@ -155,6 +162,130 @@ TEST(SoftPruneState, LiveBranchReprunesAfterExpiry) {
     net.settle();
     EXPECT_EQ(copies[&member], 1) << "packet " << packet;
   }
+}
+
+// ------------------------------------------------------ state-byte ledger
+
+void expect_ledger_matches(Internet& net, const std::string& where) {
+  for (std::size_t i = 0; i < net.domain_count(); ++i) {
+    Domain& d = net.domain(i);
+    for (std::size_t b = 0; b < d.border_count(); ++b) {
+      const bgmp::Router& r = d.bgmp_router(b);
+      ASSERT_EQ(r.state_bytes(), r.recount_state_bytes())
+          << r.name() << " " << where;
+    }
+  }
+}
+
+// Random joins, leaves, source branches, data (which drives the
+// source-specific prunes of §5.3), link flaps and crash-restarts
+// (lose_all_state) over a small internet. After every settle each
+// router's O(1) state_bytes() must equal the full walk.
+TEST(StateByteLedger, RunningTotalMatchesRecountUnderChurn) {
+  std::size_t max_source_entries = 0;
+  std::size_t max_bytes = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Internet net;
+    Domain& root = net.add_domain({.id = 1, .name = "root"});
+    Domain& source = net.add_domain({.id = 2, .name = "source"});
+    Domain& transit = net.add_domain({.id = 3, .name = "transit"});
+    Domain& m1 = net.add_domain({.id = 4, .name = "m1"});
+    Domain& m2 = net.add_domain({.id = 5, .name = "m2"});
+    const std::vector<Domain*> domains{&root, &source, &transit, &m1, &m2};
+    // The source--m1 shortcut lets m1 branch off the shared tree.
+    const std::vector<std::pair<Domain*, Domain*>> links{
+        {&root, &transit}, {&transit, &m1}, {&transit, &m2},
+        {&root, &source},  {&source, &m1},  {&m1, &m2}};
+    for (const auto& [a, b] : links) net.link(*a, *b);
+    root.originate_group_range(Prefix::parse("224.0.128.0/24"));
+    for (Domain* d : domains) d->announce_unicast();
+    net.settle();
+
+    net::Rng rng(seed);
+    std::set<std::pair<Domain*, int>> joined;
+    std::vector<bool> link_up(links.size(), true);
+    for (int step = 0; step < 80; ++step) {
+      Domain& d = *domains[rng.index(domains.size())];
+      const int g = static_cast<int>(rng.index(4));
+      switch (rng.index(7)) {
+        case 0:
+        case 1:
+          if (joined.emplace(&d, g).second) d.host_join(nth_group(g));
+          break;
+        case 2:
+          if (joined.erase({&d, g}) > 0) d.host_leave(nth_group(g));
+          break;
+        case 3:
+          d.build_source_branch(source.host_address(1), nth_group(g));
+          break;
+        case 4:
+          source.send(nth_group(g));
+          break;
+        case 5: {
+          const std::size_t l = rng.index(links.size());
+          link_up[l] = !link_up[l];
+          net.set_link_state(*links[l].first, *links[l].second, link_up[l]);
+          break;
+        }
+        case 6:
+          net.crash_restart_domain(d);
+          break;
+      }
+      net.settle();
+      expect_ledger_matches(net, "seed " + std::to_string(seed) +
+                                     " step " + std::to_string(step));
+      if (HasFatalFailure()) return;
+      for (Domain* dom : domains) {
+        const bgmp::Router& r = dom->bgmp_router();
+        max_source_entries =
+            std::max(max_source_entries, r.source_entries().size());
+        max_bytes = std::max(max_bytes, r.state_bytes());
+      }
+    }
+  }
+  // The sequences built real tree state, source-specific entries included.
+  EXPECT_GT(max_source_entries, 0u);
+  EXPECT_GT(max_bytes, 0u);
+}
+
+// The encapsulation path of §5.3 through a two-border domain (Figure 3(b)):
+// data enters F at the RPF-wrong border, is encapsulated, F2 builds a
+// branch and prunes the encapsulator once native data flows. The ledger
+// must track the (S,G) copies and the encapsulator bookkeeping throughout.
+TEST(StateByteLedger, RunningTotalTracksEncapsulationAndBranchPrune) {
+  topology::Graph pair(2);
+  pair.add_edge(0, 1);
+  Internet net;
+  Domain& b = net.add_domain({.id = 20, .name = "B"});
+  Domain& d = net.add_domain({.id = 40, .name = "D"});
+  Domain& f = net.add_domain(
+      {.id = 60, .name = "F", .internal_graph = pair, .borders = {0, 1}});
+  net.link(b, f, bgp::Relationship::kLateral, 0, 0);  // B1 -- F1
+  net.link(b, d, bgp::Relationship::kLateral, 0, 0);  // B1 -- D1
+  net.link(d, f, bgp::Relationship::kLateral, 0, 1);  // D1 -- F2 shortcut
+  b.originate_group_range(Prefix::parse("224.0.128.0/24"));
+  for (Domain* dom : {&b, &d, &f}) dom->announce_unicast();
+  net.settle();
+  const Group group = nth_group(1);
+  f.host_join(group, /*at=*/0);
+  net.settle();
+  expect_ledger_matches(net, "after join");
+  for (int packet = 0; packet < 3; ++packet) {
+    d.send(group);
+    net.settle();
+    expect_ledger_matches(net, "after packet " + std::to_string(packet));
+  }
+  EXPECT_NE(f.bgmp_router(1).source_entry(d.host_address(1), group), nullptr);
+  net.set_link_state(d, f, false);
+  net.settle();
+  expect_ledger_matches(net, "after branch link down");
+  f.host_leave(group, /*at=*/0);
+  net.settle();
+  expect_ledger_matches(net, "after leave");
+  net.crash_restart_domain(f);
+  net.settle();
+  expect_ledger_matches(net, "after crash-restart");
+  EXPECT_EQ(f.bgmp_router(0).state_bytes(), 0u);
 }
 
 }  // namespace

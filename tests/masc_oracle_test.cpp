@@ -304,7 +304,7 @@ TEST(PoolOracle, RandomBlockChurnKeepsPublishedInvariants) {
     }
 
     // Cross-check the aggregate accounting every step.
-    ASSERT_EQ(pool.live_block_count(), live.size()) << "at op " << op;
+    ASSERT_EQ(pool.blocks().size(), live.size()) << "at op " << op;
     std::uint64_t allocated = 0;
     for (const Block& b : issued) {
       if (live.contains(b.id)) {
@@ -316,7 +316,7 @@ TEST(PoolOracle, RandomBlockChurnKeepsPublishedInvariants) {
   // Releasing everything must leave the pool empty of allocations.
   for (const std::uint64_t id : live) EXPECT_TRUE(pool.release_block(id));
   EXPECT_EQ(pool.allocated_addresses(), 0u);
-  EXPECT_EQ(pool.live_block_count(), 0u);
+  EXPECT_TRUE(pool.blocks().empty());
 }
 
 }  // namespace

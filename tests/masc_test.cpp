@@ -4,8 +4,10 @@
 // (Figure-1 scenario, winner resolution, partitions, lifetimes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "masc/claim_algorithm.hpp"
@@ -16,6 +18,7 @@
 #include "net/event.hpp"
 #include "net/network.hpp"
 #include "net/rng.hpp"
+#include "obs/span.hpp"
 
 namespace masc {
 namespace {
@@ -417,6 +420,108 @@ TEST(DomainPool, AggregateKeepsActiveAndInactiveApart) {
   EXPECT_EQ(pool.prefixes().size(), 2u);
 }
 
+// The pool keeps claimed/allocated address totals as running sums; every
+// mutation must leave them equal to a recount over prefixes() and blocks().
+TEST(DomainPool, RunningTotalsMatchRecountUnderRandomOps) {
+  const auto expect_totals_match = [](const DomainPool& pool, int seed,
+                                      int op) {
+    std::uint64_t claimed = 0;
+    for (const ClaimedPrefix& p : pool.prefixes()) claimed += p.prefix.size();
+    std::uint64_t allocated = 0;
+    for (const Block& b : pool.blocks()) allocated += b.range.size();
+    ASSERT_EQ(pool.claimed_addresses(), claimed)
+        << "seed " << seed << " op " << op;
+    ASSERT_EQ(pool.allocated_addresses(), allocated)
+        << "seed " << seed << " op " << op;
+  };
+  const Prefix space = Prefix::parse("224.0.0.0/16");
+  std::uint64_t max_claimed = 0;
+  std::uint64_t max_allocated = 0;
+  int merges = 0;
+  for (int seed = 1; seed <= 20; ++seed) {
+    net::Rng rng(static_cast<std::uint64_t>(seed));
+    DomainPool pool(1, pool_params());
+    SimTime now = kNow;
+    const auto held_overlapping = [&](const Prefix& p, const Prefix* skip) {
+      for (const ClaimedPrefix& held : pool.prefixes()) {
+        if (skip != nullptr && held.prefix == *skip) continue;
+        if (held.prefix.overlaps(p)) return true;
+      }
+      return false;
+    };
+    for (int op = 0; op < 400; ++op) {
+      const std::size_t n_held = pool.prefixes().size();
+      switch (rng.index(9)) {
+        case 0: {  // claim a fresh prefix somewhere in the space
+          const int len = 20 + static_cast<int>(rng.index(5));
+          const Prefix p = space.subprefix_at(
+              len, rng.index(std::size_t{1} << (len - space.length())));
+          if (!held_overlapping(p, nullptr)) {
+            pool.add_prefix(p, now + SimTime::days(rng.index(40)),
+                            /*active=*/!rng.chance(0.2));
+          }
+          break;
+        }
+        case 1:
+        case 2:
+          (void)pool.request_block(1 + rng.index(1024), now,
+                                   SimTime::hours(1 + rng.index(24 * 30)));
+          break;
+        case 3:
+          if (!pool.blocks().empty()) {
+            const auto& blocks = pool.blocks();
+            const std::uint64_t id = blocks[rng.index(blocks.size())].id;
+            EXPECT_TRUE(pool.release_block(id));
+          }
+          break;
+        case 4:
+          now = now + SimTime::hours(rng.index(24 * 20));
+          (void)pool.age(now);
+          break;
+        case 5:
+          if (n_held > 0) {
+            const Prefix p = pool.prefixes()[rng.index(n_held)].prefix;
+            if (p.length() > space.length() &&
+                !held_overlapping(*p.parent(), &p)) {
+              pool.apply_double(p, now + SimTime::days(30));
+            }
+          }
+          break;
+        case 6:
+          merges += static_cast<int>(pool.aggregate_prefixes().size());
+          break;
+        case 7:
+          if (n_held > 0) {
+            (void)pool.remove_prefix_force(
+                pool.prefixes()[rng.index(n_held)].prefix);
+          }
+          break;
+        case 8:
+          if (n_held > 0) {
+            // Mirror a child's claim: an exact range inside a held prefix.
+            const Prefix held = pool.prefixes()[rng.index(n_held)].prefix;
+            const int len = std::min(32, held.length() +
+                                             static_cast<int>(rng.index(4)));
+            (void)pool.place_block_at(
+                held.subprefix_at(len, rng.index(std::size_t{1}
+                                                 << (len - held.length()))),
+                now + SimTime::days(rng.index(20)),
+                /*require_active=*/rng.chance(0.5));
+          }
+          break;
+      }
+      expect_totals_match(pool, seed, op);
+      if (testing::Test::HasFatalFailure()) return;
+      max_claimed = std::max(max_claimed, pool.claimed_addresses());
+      max_allocated = std::max(max_allocated, pool.allocated_addresses());
+    }
+  }
+  // The sequences reached the interesting states, not an empty pool.
+  EXPECT_GT(max_claimed, 0u);
+  EXPECT_GT(max_allocated, 0u);
+  EXPECT_GT(merges, 0);
+}
+
 TEST(ExpansionPolicy, DoubleOnlyNeverClaimsNewPrefixes) {
   PoolParams params;
   params.expansion = ExpansionPolicy::kDoubleOnly;
@@ -699,6 +804,42 @@ TEST(MascNode, ChildClaimsFromParentSpaceAndSiblingsLearnViaParent) {
   EXPECT_TRUE(a_space.contains(b_range));
   EXPECT_FALSE(b_range.overlaps(c_range));
   EXPECT_EQ(b.collisions_suffered(), 0);  // avoided, not collided
+}
+
+TEST(MascNode, ParentArbitratedCollisionNamesTheWinningChild) {
+  // Figure 1 with simultaneous child claims: B and C both pick the first
+  // /24 of A's space at the same instant. A records B's claim (it arrives
+  // first and B's lower id wins the tie), so the COLLISION A sends to C
+  // must name B as the winner, not A.
+  obs::MemorySpanSink spans;  // outlives the network that records into it
+  ProtoNet t;
+  t.network.set_span_sink(&spans);
+  MascNode::Params params;
+  params.pool.strategy = ClaimStrategy::kFirstFit;
+  MascNode& a = t.node(10, "A", params);
+  MascNode& b = t.node(20, "B", params);
+  MascNode& c = t.node(30, "C", params);
+  a.set_spaces({net::multicast_space()});
+  a.request_space(65536);
+  t.events.run(1'000'000);
+  MascNode::connect(b, a, MascNode::PeerKind::kParent);
+  MascNode::connect(c, a, MascNode::PeerKind::kParent);
+  t.events.run(1'000'000);
+  b.request_space(256);
+  c.request_space(256);
+  t.events.run(1'000'000);
+  ASSERT_EQ(t.granted.size(), 3u);
+  EXPECT_FALSE(t.granted[1].overlaps(t.granted[2]));
+  std::vector<std::string> collisions;
+  for (const obs::SpanEvent& e : spans.events()) {
+    if (e.kind == obs::SpanEvent::Kind::kSend && e.from == "A" &&
+        e.to == "C" && e.message.starts_with("MASC COLLISION")) {
+      collisions.push_back(e.message);
+    }
+  }
+  ASSERT_EQ(collisions.size(), 1u);
+  EXPECT_NE(collisions[0].find("(winner AS20)"), std::string::npos)
+      << collisions[0];
 }
 
 TEST(MascNode, CollisionAcrossPartitionHealsToOneWinner) {
