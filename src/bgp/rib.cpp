@@ -146,7 +146,7 @@ std::optional<std::pair<net::Prefix, const Candidate*>> Rib::longest_match(
 
 bool Rib::upsert(const net::Prefix& prefix, Candidate candidate,
                  const RibEntry** entry_out) {
-  RibEntry& e = entry(prefix);
+  RibEntry& e = trie_.get_or_insert(prefix);
   const std::size_t before = e.candidate_count();
   const bool changed = e.upsert(std::move(candidate));
   candidates_ += e.candidate_count() - before;
@@ -156,7 +156,7 @@ bool Rib::upsert(const net::Prefix& prefix, Candidate candidate,
 
 bool Rib::remove(const net::Prefix& prefix, PeerIndex via,
                  const RibEntry** entry_out) {
-  RibEntry& e = entry(prefix);
+  RibEntry& e = trie_.get_or_insert(prefix);
   const std::size_t before = e.candidate_count();
   const bool changed = e.remove(via);
   candidates_ -= before - e.candidate_count();
@@ -166,18 +166,10 @@ bool Rib::remove(const net::Prefix& prefix, PeerIndex via,
   return changed;
 }
 
-RibEntry& Rib::entry(const net::Prefix& prefix) {
-  // Callers take this reference to mutate, so bump the version
-  // pessimistically: a spurious bump only costs a cache refill.
-  ++version_;
-  return trie_.get_or_insert(prefix);
-}
-
 void Rib::erase_if_empty(const net::Prefix& prefix) {
   const RibEntry* existing = trie_.find(prefix);
   if (existing != nullptr && existing->empty()) {
     trie_.erase(prefix);
-    ++version_;
   }
 }
 

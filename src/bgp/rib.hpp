@@ -238,11 +238,6 @@ class Rib {
   bool remove(const net::Prefix& prefix, PeerIndex via,
               const RibEntry** entry_out = nullptr);
 
-  /// Monotonic mutation counter: bumped whenever the table might have
-  /// changed (entry access for write, entry erase). Lookup caches compare
-  /// it to decide whether their cached results are still valid.
-  [[nodiscard]] std::uint64_t version() const { return version_; }
-
   /// Read-only traversal of (prefix, best candidate) in address order —
   /// the copy-free path for snapshots, exports and metrics refreshes.
   template <typename Fn>
@@ -288,14 +283,10 @@ class Rib {
   }
 
  private:
-  /// Mutating access for upsert()/remove(). Creates the entry on demand.
-  /// Any call counts as a table mutation (see version()).
-  RibEntry& entry(const net::Prefix& prefix);
   /// Erases the entry if it has no candidates left.
   void erase_if_empty(const net::Prefix& prefix);
 
   net::PrefixTrie<RibEntry> trie_;
-  std::uint64_t version_ = 0;
   std::size_t candidates_ = 0;
 };
 

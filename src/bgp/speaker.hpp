@@ -315,9 +315,8 @@ class Speaker final : public net::Endpoint {
   /// the network, so they aggregate per simulation.
   struct SpeakerMetrics {
     obs::Counter* updates_sent;
-    /// Per-domain attribution of updates_sent: a space-saving sketch, so
-    /// the hottest ASes surface without dense per-domain storage.
-    obs::ShardedCounter* updates_sent_by_domain;
+    /// Per-domain attribution of updates_sent, keyed by the sending AS.
+    obs::DomainTable* updates_sent_by_domain;
     obs::Counter* updates_received;
     obs::Counter* routes_announced;
     obs::Counter* routes_withdrawn;
@@ -356,21 +355,6 @@ class Speaker final : public net::Endpoint {
   /// debug_lose_next_update() target (kLocalPeer = none).
   PeerIndex lose_next_update_ = kLocalPeer;
   std::vector<RouteChangeListener> listeners_;
-
-  /// Direct-mapped longest-match cache per view, invalidated by the RIB
-  /// version counter. BGMP resolves "the next hop toward the root domain"
-  /// through lookup() on every join/prune/data packet, usually for the
-  /// same handful of group addresses between routing changes — a 16-slot
-  /// cache absorbs that without any invalidation hooks.
-  struct LookupCacheSlot {
-    net::Ipv4Addr addr{};
-    std::uint64_t version = UINT64_MAX;  // matches no real rib version
-    std::optional<LookupResult> result;
-  };
-  static constexpr std::size_t kLookupCacheSlots = 16;
-  mutable std::array<std::array<LookupCacheSlot, kLookupCacheSlots>,
-                     kRouteTypeCount>
-      lookup_cache_;
 };
 
 }  // namespace bgp

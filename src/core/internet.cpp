@@ -26,8 +26,8 @@ Internet::Internet(std::uint64_t seed)
     std::size_t mrib = 0;
     std::size_t urib = 0;
     std::size_t state_bytes = 0;
-    obs::TopKGauge& bytes_by_domain = m.topk_gauge("core.state_bytes.by_domain");
-    bytes_by_domain.begin_epoch();
+    obs::DomainTable& bytes_by_domain =
+        m.sharded_gauge("core.state_bytes.by_domain");
     for (const auto& domain : domains_) {
       claimed += domain->masc_node().pool().claimed_addresses();
       allocated += domain->masc_node().pool().allocated_addresses();

@@ -212,7 +212,7 @@ void write_json_impl(const Snapshot& snap, std::ostream& os, bool pretty) {
     for (const ShardedItem& item : s.items) {
       os << (first_item ? "" : ",") << "{\"key\":" << sp << item.key << ","
          << sp << "\"value\":" << sp << detail::format_double(item.value)
-         << "," << sp << "\"error\":" << sp << item.error << "}";
+         << "}";
       first_item = false;
     }
     os << "]}";
@@ -267,8 +267,7 @@ const char* kind_name(int kind) {
     case 0: return "counter";
     case 1: return "gauge";
     case 2: return "histogram";
-    case 3: return "sharded_counter";
-    case 4: return "topk_gauge";
+    case 3: return "per-domain";
   }
   return "?";
 }
@@ -314,25 +313,21 @@ Histogram& Metrics::histogram(std::string_view name) {
               .first->second;
 }
 
-ShardedCounter& Metrics::sharded_counter(std::string_view name,
-                                         std::size_t capacity,
-                                         std::size_t export_top) {
-  const auto it = sharded_counters_.find(name);
-  if (it != sharded_counters_.end()) return *it->second;
-  check_kind(name, Kind::kShardedCounter);
-  return *sharded_counters_
-              .emplace(std::string(name),
-                       std::make_unique<ShardedCounter>(capacity, export_top))
-              .first->second;
-}
-
-TopKGauge& Metrics::topk_gauge(std::string_view name, std::size_t k) {
-  const auto it = topk_gauges_.find(name);
-  if (it != topk_gauges_.end()) return *it->second;
-  check_kind(name, Kind::kTopKGauge);
-  return *topk_gauges_
-              .emplace(std::string(name), std::make_unique<TopKGauge>(k))
-              .first->second;
+DomainTable& Metrics::domain_table(std::string_view name,
+                                  ShardedSample::Kind kind) {
+  auto it = tables_.find(name);
+  if (it == tables_.end()) {
+    check_kind(name, Kind::kPerDomain);
+    it = tables_
+             .emplace(std::string(name),
+                      TaggedTable{kind, std::make_unique<DomainTable>()})
+             .first;
+  } else if (it->second.kind != kind) {
+    throw std::logic_error("obs::Metrics: per-domain instrument \"" +
+                           std::string(name) +
+                           "\" re-registered as the other of counter/gauge");
+  }
+  return *it->second.table;
 }
 
 void Metrics::add_refresh_hook(std::function<void()> hook) {
@@ -370,28 +365,12 @@ Snapshot Metrics::snapshot(double sim_time_seconds) {
   for (const auto& [name, hist] : histograms_) {
     snap.histograms.push_back(HistogramSample{name, hist->stats(), *hist});
   }
-  // Merge the two name-sorted sharded maps the same way as counters/gauges.
-  snap.sharded.reserve(sharded_counters_.size() + topk_gauges_.size());
-  auto sc = sharded_counters_.begin();
-  auto tg = topk_gauges_.begin();
-  while (sc != sharded_counters_.end() || tg != topk_gauges_.end()) {
-    const bool take_counter =
-        tg == topk_gauges_.end() ||
-        (sc != sharded_counters_.end() && sc->first <= tg->first);
+  snap.sharded.reserve(tables_.size());
+  for (const auto& [name, tagged] : tables_) {
     ShardedSample s;
-    if (take_counter) {
-      s.name = sc->first;
-      s.kind = ShardedSample::Kind::kCounter;
-      s.total = static_cast<double>(sc->second->total());
-      s.items = sc->second->top(sc->second->export_top());
-      ++sc;
-    } else {
-      s.name = tg->first;
-      s.kind = ShardedSample::Kind::kGauge;
-      s.total = tg->second->total();
-      s.items = tg->second->top();
-      ++tg;
-    }
+    s.name = name;
+    s.kind = tagged.kind;
+    tagged.table->export_to(s);
     snap.sharded.push_back(std::move(s));
   }
   return snap;

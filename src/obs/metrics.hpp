@@ -28,8 +28,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/domain_table.hpp"
 #include "obs/histogram.hpp"
-#include "obs/sharded.hpp"
 
 namespace obs {
 
@@ -103,7 +103,7 @@ struct Snapshot {
   ///  "histograms": {...}, "sharded": {...}} — the schema bench/ and
   /// external tooling consume (see DESIGN.md). Each histogram exports
   /// count, sum, min, max, p50, p95, p99; each sharded instrument exports
-  /// its total plus a bounded top list of {key, value, error} items.
+  /// its exact total plus its top list of {key, value} items.
   void write_json(std::ostream& os) const;
   /// name,kind,value rows with a header; histograms expand into
   /// `<name>.count/.sum/.min/.max/.p50/.p95/.p99` rows of kind histogram,
@@ -119,7 +119,7 @@ struct Snapshot {
   /// histograms merge at bucket level, so the combined quantiles reflect
   /// every underlying sample rather than an average of averages, and
   /// sharded instruments union per key (totals and per-key values add,
-  /// bounded by the larger item budget).
+  /// keeping the longer of the two top lists).
   /// sim_time_seconds becomes the max of the two (the longest run). The
   /// aggregation semantics of the sweep engine: counters are event totals
   /// across cells, gauges become cross-cell sums.
@@ -142,13 +142,14 @@ class Metrics {
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
-  /// Dimensioned instruments (see obs/sharded.hpp): per-key heavy-hitter
-  /// counts and exact top-K sampled values. The capacity/k of the first
-  /// registration wins.
-  ShardedCounter& sharded_counter(std::string_view name,
-                                  std::size_t capacity = 64,
-                                  std::size_t export_top = 16);
-  TopKGauge& topk_gauge(std::string_view name, std::size_t k = 16);
+  /// Per-domain instruments (see obs/domain_table.hpp): exact counts and
+  /// sampled values keyed by domain id.
+  DomainTable& sharded_counter(std::string_view name) {
+    return domain_table(name, ShardedSample::Kind::kCounter);
+  }
+  DomainTable& sharded_gauge(std::string_view name) {
+    return domain_table(name, ShardedSample::Kind::kGauge);
+  }
 
   /// Registers a hook run at the start of every snapshot(). Harness-level
   /// owners use it to refresh sampled gauges (RIB sizes, pool utilisation,
@@ -161,7 +162,7 @@ class Metrics {
 
   [[nodiscard]] std::size_t instrument_count() const {
     return counters_.size() + gauges_.size() + histograms_.size() +
-           sharded_counters_.size() + topk_gauges_.size();
+           tables_.size();
   }
 
  private:
@@ -169,20 +170,24 @@ class Metrics {
     kCounter,
     kGauge,
     kHistogram,
-    kShardedCounter,
-    kTopKGauge,
+    kPerDomain,
   };
   /// Records `name` as `kind`, throwing std::logic_error if it is already
   /// registered as anything else.
   void check_kind(std::string_view name, Kind kind);
+  DomainTable& domain_table(std::string_view name, ShardedSample::Kind kind);
+
+  /// A per-domain table tagged with the kind it was registered as.
+  struct TaggedTable {
+    ShardedSample::Kind kind;
+    std::unique_ptr<DomainTable> table;
+  };
 
   // unique_ptr-valued maps: node-stable references plus registry movability.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  std::map<std::string, std::unique_ptr<ShardedCounter>, std::less<>>
-      sharded_counters_;
-  std::map<std::string, std::unique_ptr<TopKGauge>, std::less<>> topk_gauges_;
+  std::map<std::string, TaggedTable, std::less<>> tables_;
   std::map<std::string, Kind, std::less<>> kinds_;
   std::vector<std::function<void()>> hooks_;
 };

@@ -29,8 +29,7 @@ class Internet;
 namespace obs {
 class Counter;
 class Gauge;
-class ShardedCounter;
-class TopKGauge;
+class DomainTable;
 }  // namespace obs
 
 namespace workload {
@@ -94,7 +93,7 @@ class Session {
 
  private:
   void apply_tick();
-  /// Snapshot-time sampling (top-K member domains, mean MAAS
+  /// Snapshot-time sampling (members per domain, mean MAAS
   /// fragmentation); called by the metrics refresh hook and by finish().
   void refresh_sampled();
 
@@ -120,8 +119,8 @@ class Session {
   obs::Gauge* active_groups_ = nullptr;
   obs::Gauge* active_cells_ = nullptr;
   obs::Gauge* fragmentation_ = nullptr;
-  obs::ShardedCounter* edge_load_ = nullptr;
-  obs::TopKGauge* members_by_domain_ = nullptr;
+  obs::DomainTable* edge_load_ = nullptr;
+  obs::DomainTable* members_by_domain_ = nullptr;
 };
 
 }  // namespace workload

@@ -9,7 +9,7 @@
 
 #include <cstdint>
 #include <fstream>
-#include <set>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -90,6 +90,60 @@ TEST(Telemetry, SessionDoesNotPerturbTheSimulation) {
   // ... while actually recording something.
   EXPECT_GT(frames, 0u);
   EXPECT_GT(spans, 0u);
+}
+
+TEST(Telemetry, MembersByDomainMatchesTheEngineAtEverySnapshot) {
+  // workload.members.by_domain is a gauge each snapshot overwrites: a
+  // domain whose members all left must drop out, not keep its last count.
+  eval::ScenarioSpec spec = small_spec();
+  spec.workload = workload::Spec::small();
+  // Few, short-lived members, so domains empty out during the run.
+  spec.workload.arrivals_per_second = 0.05;
+  spec.workload.mean_lifetime_seconds = 300.0;
+  core::Internet net(spec.seed);
+  const eval::BuiltScenario topo = eval::build_scenario(net, spec);
+  eval::phase_claim(net, topo);
+  net.settle();
+  net::Rng rng = eval::make_workload_rng(spec.seed);
+  (void)eval::phase_groups(net, spec, topo, rng);
+  net.settle();
+  const std::unique_ptr<workload::Session> session =
+      eval::phase_workload(net, spec, topo);
+  ASSERT_NE(session, nullptr);
+  const workload::Engine& engine = session->engine();
+  std::map<std::uint64_t, std::uint32_t> index_of;
+  for (std::uint32_t d = 0; d < net.domain_count(); ++d) {
+    index_of[net.domain(d).id()] = d;
+  }
+
+  const net::SimTime start = net.events().now();
+  std::vector<std::uint64_t> before(net.domain_count(), 0);
+  std::size_t emptied = 0;
+  for (std::int64_t i = 1; i <= spec.workload.ticks(); ++i) {
+    const net::SimTime t =
+        start + net::SimTime::seconds_f(spec.workload.tick_seconds *
+                                        static_cast<double>(i));
+    session->advance_to(t);
+    net.run_until(t);
+    const obs::Snapshot snap = net.metrics_snapshot();
+    const obs::ShardedSample* members =
+        snap.find_sharded("workload.members.by_domain");
+    ASSERT_NE(members, nullptr);
+    ASSERT_DOUBLE_EQ(members->total,
+                     static_cast<double>(engine.members_total()))
+        << "tick " << i;
+    for (const obs::ShardedItem& item : members->items) {
+      ASSERT_EQ(item.value, static_cast<double>(engine.members_in_domain(
+                                index_of.at(item.key))))
+          << "tick " << i << ", domain " << item.key;
+    }
+    for (std::uint32_t d = 0; d < before.size(); ++d) {
+      const std::uint64_t now = engine.members_in_domain(d);
+      if (before[d] != 0 && now == 0) ++emptied;
+      before[d] = now;
+    }
+  }
+  EXPECT_GT(emptied, 0u);  // the run exercised the overwrite-to-zero case
 }
 
 // ---------------------------------------------------- end-to-end pipeline
@@ -259,14 +313,23 @@ TEST(CriticalPath, ReArmSupersedesAndUnmatchedFiresAreCounted) {
 #ifdef METRICS_MD_PATH
 TEST(Docs, EveryExportedMetricAppearsInMetricsMd) {
   // Run the full workload with telemetry attached, snapshot every
-  // instrument the stack registers, and require METRICS.md to name each
-  // one. A new instrument without a doc row fails here — the reference
-  // table cannot silently rot.
+  // instrument the stack registers, and require METRICS.md to have a row
+  // for each one whose Kind column names the instrument's kind. A new
+  // instrument without a doc row, or a row with the wrong kind, fails
+  // here — the reference table cannot silently rot.
   std::ifstream doc(METRICS_MD_PATH);
   ASSERT_TRUE(doc.is_open()) << "cannot read " << METRICS_MD_PATH;
-  std::stringstream buffer;
-  buffer << doc.rdbuf();
-  const std::string text = buffer.str();
+  // Rows read "| `name` | kind | subsystem | meaning |".
+  std::map<std::string, std::string> documented;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::size_t name_end = line.find('`', 3);
+    const std::size_t kind_begin = line.find("| ", name_end) + 2;
+    const std::size_t kind_end = line.find(" |", kind_begin);
+    ASSERT_NE(kind_end, std::string::npos) << "malformed row: " << line;
+    documented[line.substr(3, name_end - 3)] =
+        line.substr(kind_begin, kind_end - kind_begin);
+  }
 
   eval::ScenarioSpec spec = small_spec();
   spec.workload = workload::Spec::small();
@@ -281,20 +344,33 @@ TEST(Docs, EveryExportedMetricAppearsInMetricsMd) {
   run_workload(net, spec);
 
   const obs::Snapshot snap = net.metrics_snapshot();
-  std::set<std::string> names;
-  for (const obs::Sample& s : snap.samples) names.insert(s.name);
-  for (const obs::HistogramSample& h : snap.histograms) names.insert(h.name);
-  for (const obs::ShardedSample& s : snap.sharded) names.insert(s.name);
-  ASSERT_GT(names.size(), 30u);  // the audit covers the real surface
+  std::map<std::string, std::string> exported;
+  for (const obs::Sample& s : snap.samples) {
+    exported[s.name] =
+        s.kind == obs::Sample::Kind::kCounter ? "counter" : "gauge";
+  }
+  for (const obs::HistogramSample& h : snap.histograms) {
+    exported[h.name] = "histogram";
+  }
+  for (const obs::ShardedSample& s : snap.sharded) {
+    exported[s.name] = "per-domain";
+  }
+  ASSERT_GT(exported.size(), 30u);  // the audit covers the real surface
 
-  for (const std::string& name : names) {
+  for (const auto& [name, kind] : exported) {
     // Per-tag step histograms are documented once by their prefix row.
     const std::string lookup =
         name.rfind("sim.step_wall_seconds.", 0) == 0
             ? "sim.step_wall_seconds.<tag>"
             : name;
-    EXPECT_NE(text.find("`" + lookup + "`"), std::string::npos)
-        << "metric \"" << name << "\" is not documented in METRICS.md";
+    const auto row = documented.find(lookup);
+    if (row == documented.end()) {
+      ADD_FAILURE() << "metric \"" << name
+                    << "\" is not documented in METRICS.md";
+    } else {
+      EXPECT_EQ(row->second, kind)
+          << "metric \"" << name << "\" has the wrong kind in METRICS.md";
+    }
   }
 }
 #endif  // METRICS_MD_PATH
