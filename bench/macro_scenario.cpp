@@ -523,8 +523,8 @@ int check_one(const Results& now, const std::string& base, double tolerance,
   bounded("state_bytes_per_domain", now.state_bytes_per_domain);
   // Wall-clock throughput varies with the host; report always, and gate
   // only when an explicit floor was requested (--eps-floor). The floor is
-  // deliberately loose — it exists to catch a scheduler regression giving
-  // back a multiple of the ladder-queue win, not to measure the host.
+  // deliberately loose — it exists to catch a gross regression in the
+  // event scheduler or the delivery hot path, not to measure the host.
   double base_eps = 0.0;
   if (scrape(base, "events_per_second", base_eps) && base_eps > 0.0) {
     std::cerr << "macro_scenario: " << now.spec.domains << " domains: "

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bgp/path_table.hpp"
@@ -91,16 +92,16 @@ void BM_EventQueueChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-// 1M pending is the regime the ladder queue exists for: the old binary
-// heap degraded 3.6x from 1k to 100k pending; amortized-O(1) pops must
-// hold the per-item rate roughly flat all the way up.
+// 100k and 1M pending are far beyond any workload: with one pending event
+// per link direction the 10k-domain rung peaks near 15k stored keys. The
+// large sizes show how the heap's log factor and cache misses grow, not a
+// regime the simulator runs in.
 BENCHMARK(BM_EventQueueChurn)->Arg(1000)->Arg(100000)->Arg(1000000);
 
 // The horizon mix of a real run: a dense near-future band (message
 // deliveries at ~10ms) under a sparse far-future tail (MASC waiting
-// periods, up to 48 simulated hours) — the schedule pattern that forces
-// the ladder to keep rungs and the overflow tier live while the bottom
-// churns, instead of the single-band pattern above.
+// periods, up to 48 simulated hours), with the near band rescheduled while
+// it drains, instead of the single-band pattern above.
 void BM_EventQueueSkewedHorizon(benchmark::State& state) {
   for (auto _ : state) {
     net::EventQueue queue;
@@ -337,9 +338,12 @@ void BM_BgpPropagation(benchmark::State& state) {
     net::Network network(events);
     std::vector<std::unique_ptr<bgp::Speaker>> speakers;
     for (int i = 0; i < 200; ++i) {
+      // Appended, not `"s" + std::to_string(i)`: GCC 12 raises a false
+      // -Wrestrict on that concatenation in Release builds.
+      std::string name = "s";
+      name += std::to_string(i);
       speakers.push_back(std::make_unique<bgp::Speaker>(
-          network, static_cast<bgp::DomainId>(i + 1),
-          "s" + std::to_string(i)));
+          network, static_cast<bgp::DomainId>(i + 1), std::move(name)));
     }
     for (int i = 0; i + 1 < 200; ++i) {
       bgp::Speaker::connect(*speakers[i], *speakers[i + 1],
@@ -366,8 +370,10 @@ void BM_SpeakerFanout(benchmark::State& state) {
   bgp::Speaker hub(network, 1, "hub");
   std::vector<std::unique_ptr<bgp::Speaker>> leaves;
   for (int i = 0; i < customers; ++i) {
+    std::string name = "c";  // appended: see the -Wrestrict note above
+    name += std::to_string(i);
     leaves.push_back(std::make_unique<bgp::Speaker>(
-        network, static_cast<bgp::DomainId>(i + 2), "c" + std::to_string(i)));
+        network, static_cast<bgp::DomainId>(i + 2), std::move(name)));
     bgp::Speaker::connect(hub, *leaves.back(), bgp::Relationship::kCustomer,
                           net::SimTime::milliseconds(10),
                           bgp::ExportPolicy::kGaoRexford,
@@ -446,9 +452,10 @@ void BM_InternetSnapshot(benchmark::State& state) {
     auto* internet = new core::Internet(1);
     std::vector<core::Domain*> domains;
     for (int i = 0; i < kDomains; ++i) {
+      std::string name = "d";  // appended: see the -Wrestrict note above
+      name += std::to_string(i);
       domains.push_back(&internet->add_domain(
-          {.id = static_cast<bgp::DomainId>(i + 1),
-           .name = "d" + std::to_string(i)}));
+          {.id = static_cast<bgp::DomainId>(i + 1), .name = std::move(name)}));
     }
     for (int t = 0; t < kTops; ++t) {
       internet->link(*domains[t], *domains[(t + 1) % kTops]);

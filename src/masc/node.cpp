@@ -9,7 +9,10 @@ namespace masc {
 
 std::string AdvertiseMessage::describe() const {
   std::string out = "MASC ADVERTISE";
-  for (const net::Prefix& p : spaces) out += " " + p.to_string();
+  for (const net::Prefix& p : spaces) {
+    out += ' ';  // not `" " + ...`: a false GCC 12 -Wrestrict in Release
+    out += p.to_string();
+  }
   return out;
 }
 

@@ -1,12 +1,13 @@
-// Differential oracle for the ladder-queue EventQueue: every workload is
-// mirrored into a std::multimap<(time, seq)> reference, and the firing
-// order observed from the real queue must match the reference's exact
-// (time, seq) total order. The workloads deliberately hit the structural
-// seams of the ladder — same-timestamp bursts (one bucket, ordered only by
-// seq), wide horizon mixes (bottom + rungs + overflow all live), rung
-// exhaustion and the coverage gaps it leaves behind, cancellations of
-// already-fired ids, reserved-seq scheduling, and scheduling from inside a
-// running event (reentrancy).
+// Differential oracle for the EventQueue: every workload is mirrored into a
+// std::multimap<(time, seq)> reference, and the firing order observed from
+// the real queue must match the reference's exact (time, seq) total order.
+// The workloads cover same-timestamp bursts (ordered only by seq), wide
+// near/far horizon mixes, cancellations of already-fired ids, reserved-seq
+// scheduling, scheduling from inside a running event (reentrancy), and the
+// two peeks: peek_next() skips cancelled keys, peek_stored_front() does
+// not. Some inputs were shaped for the tier seams of an earlier ladder-queue
+// implementation (bucket overflow, rung exhaustion); they stay as ordering
+// regressions for the heap.
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -297,6 +298,43 @@ TEST(EventOracle, PeekNextMatchesPopAndDiscardsCancelled) {
     EXPECT_EQ(peek->seq, key.second);
   }
   EXPECT_EQ(oracle.live(), 0u);
+}
+
+TEST(EventOracle, PeekStoredFrontKeepsCancelledFront) {
+  // Delivery batching guards on peek_stored_front(): a lazily-cancelled
+  // front must still block it, so that peek reports the raw front while
+  // peek_next() discards it. Every committed digest depends on this split.
+  EventQueue queue;
+  Oracle oracle(queue);
+  const std::uint64_t seq_a = queue.reserve_seq();
+  const net::EventId a =
+      oracle.schedule_reserved(SimTime::milliseconds(1), seq_a, 1);
+  const std::uint64_t seq_b = queue.reserve_seq();
+  oracle.schedule_reserved(SimTime::milliseconds(2), seq_b, 2);
+  ASSERT_TRUE(oracle.cancel(a));
+  EXPECT_EQ(queue.pending(), 1u);
+
+  const auto stored = queue.peek_stored_front();
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(stored->at, SimTime::milliseconds(1)) << "cancelled front hidden";
+  EXPECT_EQ(stored->seq, seq_a);
+  // Peeking the stored front discards nothing: it is stable.
+  const auto again = queue.peek_stored_front();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->seq, seq_a);
+
+  const auto next = queue.peek_next();
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->at, SimTime::milliseconds(2));
+  EXPECT_EQ(next->seq, seq_b);
+  // peek_next() discarded the cancelled key, so the stored front moved on.
+  const auto after = queue.peek_stored_front();
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->seq, seq_b);
+
+  oracle.drain_and_check();
+  EXPECT_FALSE(queue.peek_stored_front().has_value());
+  EXPECT_FALSE(queue.peek_next().has_value());
 }
 
 // ------------------------------------------------- in-flight gauge audit
