@@ -15,6 +15,7 @@
 #include "eval/args.hpp"
 #include "eval/tree_model.hpp"
 #include "masc/claim_algorithm.hpp"
+#include "masc/pool.hpp"
 #include "masc/registry.hpp"
 #include "net/event.hpp"
 #include "net/message_pool.hpp"
@@ -180,6 +181,51 @@ void BM_ClaimChoice(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ClaimChoice)->Arg(50)->Arg(500);
+
+void BM_ClaimNear(benchmark::State& state) {
+  // An expansion top-up (choose_claim_near) in a parent's 224.1/16 whose
+  // registry holds the domain's own 224.1.0/24 and `n` sibling /24 claims
+  // packed right after it: the nearest free /24 is found log2(n) enclosing
+  // levels up.
+  masc::ClaimRegistry registry;
+  net::Rng rng(5);
+  const Prefix space = Prefix::parse("224.1.0.0/16");
+  const net::SimTime now = net::SimTime::days(1);
+  const net::SimTime later = net::SimTime::days(31);
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  for (std::uint64_t i = 0; i <= n; ++i) {
+    (void)registry.claim(space.subprefix_at(24, i),
+                         static_cast<masc::DomainId>(i + 1), later, now);
+  }
+  const std::vector<Prefix> own{space.subprefix_at(24, 0)};
+  const std::vector<Prefix> spaces{space};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        masc::choose_claim_near(own, spaces, registry, 24, now, rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ClaimNear)->Arg(16)->Arg(128)->Arg(250)->ArgNames({"siblings"});
+
+void BM_PoolPlaceBlock(benchmark::State& state) {
+  // A child domain's block request (first-fit placement) in a /16 pool
+  // that already leases `n` /24 blocks; the block is released again so
+  // every iteration sees the same occupancy.
+  masc::DomainPool pool(1, masc::PoolParams{});
+  const net::SimTime now = net::SimTime::days(1);
+  const net::SimTime lifetime = net::SimTime::days(30);
+  pool.add_prefix(Prefix::parse("224.1.0.0/16"), net::kTimeInfinity);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    (void)pool.request_block(256, now, lifetime);
+  }
+  for (auto _ : state) {
+    const auto block = pool.request_block(256, now, lifetime);
+    benchmark::DoNotOptimize(block);
+    pool.release_block(block->id);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PoolPlaceBlock)->Arg(16)->Arg(128)->Arg(255)->ArgNames({"live"});
 
 // ----------------------------------------------------- Figure-4 tree model
 

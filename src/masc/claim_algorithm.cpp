@@ -93,10 +93,8 @@ std::optional<net::Prefix> choose_claim_near(
           spaces.begin(), spaces.end(),
           [&](const net::Prefix& s) { return s.contains(*enclosing); });
       if (!inside_space) break;
-      std::vector<net::Prefix> free = registry.free_prefixes(*enclosing, now);
-      std::sort(free.begin(), free.end());
-      for (const net::Prefix& f : free) {
-        if (f.length() <= desired_len) return f.first_subprefix(desired_len);
+      if (auto slot = registry.first_free(*enclosing, desired_len, now)) {
+        return slot;
       }
       enclosing = enclosing->parent();
     }

@@ -122,26 +122,22 @@ std::optional<net::Prefix> DomainPool::place_block(std::uint64_t addresses,
                                                    net::SimTime now) {
   (void)now;
   const int len = mask_length_for(addresses);
-  // First-fit: scan active prefixes in address order, lowest free aligned
-  // sub-range first (inner-domain packing has no collision concerns).
-  std::vector<const ClaimedPrefix*> active;
-  for (const ClaimedPrefix& p : prefixes_) {
-    if (p.active) active.push_back(&p);
-  }
-  std::sort(active.begin(), active.end(),
-            [](const ClaimedPrefix* a, const ClaimedPrefix* b) {
-              return a->prefix < b->prefix;
-            });
-  for (const ClaimedPrefix* held : active) {
-    if (held->prefix.length() > len) continue;  // block larger than prefix
-    const std::uint64_t slots = std::uint64_t{1}
-                                << (len - held->prefix.length());
-    for (std::uint64_t i = 0; i < slots; ++i) {
-      const net::Prefix slot = held->prefix.subprefix_at(len, i);
-      if (!occupied_.overlaps_any(slot)) return slot;
+  // First-fit: the lowest free aligned sub-range of the active prefixes,
+  // taken in address order (inner-domain packing has no collision
+  // concerns). A pool holds a handful of prefixes, so each next one in
+  // address order is found by a scan rather than a sorted copy.
+  const auto every_block = [](std::uint64_t) { return true; };
+  const net::Prefix* prev = nullptr;
+  for (;;) {
+    const net::Prefix* next = nullptr;
+    for (const ClaimedPrefix& p : prefixes_) {
+      if (!p.active || (prev != nullptr && !(*prev < p.prefix))) continue;
+      if (next == nullptr || p.prefix < *next) next = &p.prefix;
     }
+    if (next == nullptr) return std::nullopt;
+    if (auto slot = occupied_.first_free(*next, len, every_block)) return slot;
+    prev = next;
   }
-  return std::nullopt;
 }
 
 std::optional<Block> DomainPool::request_block(std::uint64_t addresses,

@@ -10,23 +10,13 @@ bool is_live(const ClaimRegistry::Entry& entry, net::SimTime now) {
   return entry.expires > now;
 }
 
-}  // namespace
-
-bool ClaimRegistry::live_overlap_exists(const net::Prefix& prefix,
-                                        net::SimTime now) const {
-  // An overlap is an ancestor (on the path to the prefix) or any
-  // descendant. Expiry is lazy, so the whole ancestor chain must be
-  // walked: an expired deep entry must not shadow a live shallow one.
-  bool found = false;
-  trie_.for_each_ancestor(prefix, [&](const net::Prefix&, const Entry& e) {
-    if (is_live(e, now)) found = true;
-  });
-  if (found) return true;
-  trie_.for_each_within(prefix, [&](const net::Prefix& p, const Entry& e) {
-    if (p.length() > prefix.length() && is_live(e, now)) found = true;
-  });
-  return found;
+/// The trie searches' filter: expiry is lazy, so an expired entry still
+/// sits in the trie and must be treated as absent.
+auto live_at(net::SimTime now) {
+  return [now](const ClaimRegistry::Entry& e) { return is_live(e, now); };
 }
+
+}  // namespace
 
 bool ClaimRegistry::claim(const net::Prefix& prefix, DomainId owner,
                           net::SimTime expires, net::SimTime now) {
@@ -64,21 +54,14 @@ void ClaimRegistry::release(const net::Prefix& prefix) {
 
 bool ClaimRegistry::is_free(const net::Prefix& prefix,
                             net::SimTime now) const {
-  return !live_overlap_exists(prefix, now);
+  return !trie_.first_overlap(prefix, live_at(now)).has_value();
 }
 
 std::optional<std::pair<net::Prefix, ClaimRegistry::Entry>>
 ClaimRegistry::conflicting(const net::Prefix& prefix, net::SimTime now) const {
-  std::optional<std::pair<net::Prefix, Entry>> hit;
-  trie_.for_each_ancestor(prefix, [&](const net::Prefix& p, const Entry& e) {
-    if (!hit && is_live(e, now)) hit = {{p, e}};
-  });
-  trie_.for_each_within(prefix, [&](const net::Prefix& p, const Entry& e) {
-    if (!hit && p.length() > prefix.length() && is_live(e, now)) {
-      hit = {{p, e}};
-    }
-  });
-  return hit;
+  const auto hit = trie_.first_overlap(prefix, live_at(now));
+  if (!hit) return std::nullopt;
+  return {{hit->first, *hit->second}};
 }
 
 std::optional<DomainId> ClaimRegistry::owner_of(const net::Prefix& prefix,
@@ -96,28 +79,17 @@ void ClaimRegistry::purge_expired(net::SimTime now) {
   for (const net::Prefix& p : dead) trie_.erase(p);
 }
 
-void ClaimRegistry::free_decompose(const net::Prefix& space, net::SimTime now,
-                                   std::vector<net::Prefix>& out) const {
-  if (!live_overlap_exists(space, now)) {
-    out.push_back(space);
-    return;
-  }
-  // Some live claim overlaps. If a live claim covers the whole space (or
-  // equals it), nothing is free here; otherwise split and recurse.
-  bool covered = false;
-  trie_.for_each_ancestor(space, [&](const net::Prefix&, const Entry& e) {
-    if (is_live(e, now)) covered = true;
-  });
-  if (covered || space.length() == 32) return;
-  free_decompose(space.left_child(), now, out);
-  free_decompose(space.right_child(), now, out);
-}
-
 std::vector<net::Prefix> ClaimRegistry::free_prefixes(
     const net::Prefix& space, net::SimTime now) const {
   std::vector<net::Prefix> out;
-  free_decompose(space, now, out);
+  trie_.free_within(space, live_at(now), out);
   return out;
+}
+
+std::optional<net::Prefix> ClaimRegistry::first_free(const net::Prefix& within,
+                                                     int len,
+                                                     net::SimTime now) const {
+  return trie_.first_free(within, len, live_at(now));
 }
 
 std::vector<std::pair<net::Prefix, ClaimRegistry::Entry>>

@@ -52,6 +52,13 @@ class ClaimRegistry {
   [[nodiscard]] std::vector<net::Prefix> free_prefixes(
       const net::Prefix& space, net::SimTime now) const;
 
+  /// The lowest aligned /`len` sub-prefix of `within` that no live claim
+  /// overlaps at `now` — the first sub-prefix of the desired size in the
+  /// first large-enough block of free_prefixes(within, now), found without
+  /// building the decomposition.
+  [[nodiscard]] std::optional<net::Prefix> first_free(
+      const net::Prefix& within, int len, net::SimTime now) const;
+
   /// All live claims, in address order.
   [[nodiscard]] std::vector<std::pair<net::Prefix, Entry>> claims(
       net::SimTime now) const;
@@ -59,11 +66,6 @@ class ClaimRegistry {
   [[nodiscard]] std::size_t size() const { return trie_.size(); }
 
  private:
-  [[nodiscard]] bool live_overlap_exists(const net::Prefix& prefix,
-                                         net::SimTime now) const;
-  void free_decompose(const net::Prefix& space, net::SimTime now,
-                      std::vector<net::Prefix>& out) const;
-
   net::PrefixTrie<Entry> trie_;
 };
 

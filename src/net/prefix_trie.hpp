@@ -18,8 +18,9 @@
 // never accumulates dead interior nodes.
 //
 // T must be default-constructible and movable. References and pointers
-// returned by find()/get_or_insert()/longest_match() are invalidated by any
-// subsequent insert/erase/clear (the pool may move), like vector iterators.
+// returned by find()/get_or_insert()/longest_match()/first_overlap() are
+// invalidated by any subsequent insert/erase/clear (the pool may move),
+// like vector iterators.
 #pragma once
 
 #include <algorithm>
@@ -188,8 +189,7 @@ class PrefixTrie {
       cur = n.child[bit_at(a, n.len)];
     }
     if (best == kNull) return std::nullopt;
-    const Node& b = nodes_[best];
-    return {{Prefix::containing(Ipv4Addr{b.base}, b.len), &values_[best].v}};
+    return entry_at(best);
   }
 
   /// Longest stored prefix that (non-strictly) contains `key`.
@@ -207,8 +207,7 @@ class PrefixTrie {
       cur = n.child[bit_at(kbase, n.len)];
     }
     if (best == kNull) return std::nullopt;
-    const Node& b = nodes_[best];
-    return {{Prefix::containing(Ipv4Addr{b.base}, b.len), &values_[best].v}};
+    return entry_at(best);
   }
 
   /// Calls `fn(prefix, value)` for every stored entry that (non-strictly)
@@ -248,6 +247,70 @@ class PrefixTrie {
       cur = n.child[bit_at(kbase, n.len)];
     }
     return false;
+  }
+
+  // ------------------------------------------------ filtered overlap search
+  //
+  // The queries below take a value predicate `live` and ignore every entry
+  // whose value fails it, as if it were not stored. Callers that expire
+  // entries lazily (claim lifetimes) pass "not yet expired": an expired
+  // entry then neither blocks space nor shadows a live entry above or below
+  // it. Each query is one descent to the key plus, below it, one in-order
+  // walk that splits the address range alongside the trie nodes and stops
+  // as soon as the answer is known.
+
+  /// The first entry overlapping `key` whose value passes `live`: the
+  /// outermost such entry containing `key` (or equal to it), else the
+  /// first such entry inside `key` in address order.
+  template <typename Live>
+  [[nodiscard]] std::optional<std::pair<Prefix, const T*>> first_overlap(
+      const Prefix& key, Live&& live) const {
+    const std::uint32_t kbase = key.base().value();
+    const int klen = key.length();
+    std::uint32_t cur = root_;
+    while (cur != kNull) {
+      const Node& n = nodes_[cur];
+      if (n.len >= klen) {
+        if (!same_prefix(n.base, kbase, klen)) break;
+        const std::uint32_t hit = first_live(cur, live);
+        if (hit == kNull) break;
+        return entry_at(hit);
+      }
+      if (!same_prefix(n.base, kbase, n.len)) break;
+      if (n.has_value && live(values_[cur].v)) return entry_at(cur);
+      cur = n.child[bit_at(kbase, n.len)];
+    }
+    return std::nullopt;
+  }
+
+  /// Appends to `out`, in address order, the maximal aligned sub-prefixes
+  /// of `space` that overlap no entry passing `live`: the binary
+  /// decomposition of the free part of `space`.
+  template <typename Live>
+  void free_within(const Prefix& space, Live&& live,
+                   std::vector<Prefix>& out) const {
+    const std::uint32_t sub = descend_uncovered(space, live);
+    if (sub == kCovered) return;
+    if (free_below(space.base().value(), space.length(), sub, live, out)) {
+      out.push_back(space);
+    }
+  }
+
+  /// The lowest aligned /`len` sub-prefix of `within` that overlaps no
+  /// entry passing `live`; nullopt when there is none (or `len` is
+  /// shorter than `within`).
+  template <typename Live>
+  [[nodiscard]] std::optional<Prefix> first_free(const Prefix& within,
+                                                 int len, Live&& live) const {
+    if (len < within.length() || len > 32) return std::nullopt;
+    const std::uint32_t sub = descend_uncovered(within, live);
+    std::uint32_t slot = 0;
+    if (sub == kCovered ||
+        !first_free_below(within.base().value(), within.length(), sub, len,
+                          live, slot)) {
+      return std::nullopt;
+    }
+    return Prefix::containing(Ipv4Addr{slot}, len);
   }
 
   /// Calls `fn(prefix, value)` for every entry, in trie (address) order.
@@ -479,6 +542,158 @@ class PrefixTrie {
     const std::size_t mid = nlo + (std::size_t{1} << (jump_bits_ - n.len - 1));
     fill_jump(n.child[0], nlo, mid, best);
     fill_jump(n.child[1], mid, nhi, best);
+  }
+
+  // ------------------------------------------------ filtered search helpers
+
+  /// descend_uncovered's answer when a live entry contains the key.
+  static constexpr std::uint32_t kCovered = kNull - 1;
+
+  std::pair<Prefix, const T*> entry_at(std::uint32_t idx) const {
+    const Node& n = nodes_[idx];
+    return {Prefix::containing(Ipv4Addr{n.base}, n.len), &values_[idx].v};
+  }
+
+  /// The first node of `idx`'s subtree, in address order, whose value
+  /// passes `live`; kNull if none does.
+  template <typename Live>
+  std::uint32_t first_live(std::uint32_t idx, Live& live) const {
+    if (idx == kNull) return kNull;
+    const Node& n = nodes_[idx];
+    if (n.has_value && live(values_[idx].v)) return idx;
+    const std::uint32_t left = first_live(n.child[0], live);
+    return left != kNull ? left : first_live(n.child[1], live);
+  }
+
+  /// Descends to `key`. Returns kCovered if a live entry contains (or
+  /// equals) `key`; otherwise the root of the subtree holding every entry
+  /// strictly inside `key` (kNull when there is none).
+  template <typename Live>
+  std::uint32_t descend_uncovered(const Prefix& key, Live& live) const {
+    const std::uint32_t kbase = key.base().value();
+    const int klen = key.length();
+    std::uint32_t cur = root_;
+    while (cur != kNull) {
+      const Node& n = nodes_[cur];
+      if (n.len >= klen) {
+        if (!same_prefix(n.base, kbase, klen)) return kNull;
+        const bool equal_live =
+            n.len == klen && n.has_value && live(values_[cur].v);
+        return equal_live ? kCovered : cur;
+      }
+      if (!same_prefix(n.base, kbase, n.len)) return kNull;
+      if (n.has_value && live(values_[cur].v)) return kCovered;
+      cur = n.child[bit_at(kbase, n.len)];
+    }
+    return kNull;
+  }
+
+  /// The half of node prefix (`base`, length > `i`) at bit `i`: the
+  /// prefix of length i + 1 that agrees with `base` above bit i and has
+  /// bit i equal to `side`.
+  static std::uint32_t half_base(std::uint32_t base, int i, int side) {
+    return mask_to(base, i) | (static_cast<std::uint32_t>(side) << (31 - i));
+  }
+
+  /// Free decomposition of the range (`base`, `len`). Every entry inside
+  /// the range lies in `cur`'s subtree (kNull: none), and no live entry
+  /// strictly contains the range. Returns true, appending nothing, when
+  /// the whole range is free; otherwise appends its maximal free
+  /// sub-prefixes in address order and returns false.
+  template <typename Live>
+  bool free_below(std::uint32_t base, int len, std::uint32_t cur, Live& live,
+                  std::vector<Prefix>& out) const {
+    if (cur == kNull) return true;
+    const Node& n = nodes_[cur];
+    const std::size_t mark = out.size();
+    if (n.len > len) {
+      // Only `cur`'s range holds entries: every off-path half between the
+      // range and `cur` is free. Halves left of the path come first,
+      // shallowest (lowest address) first; those right of it come last,
+      // deepest first.
+      for (int i = len; i < n.len; ++i) {
+        if (bit_at(n.base, i) == 1) {
+          out.push_back(Prefix::containing(Ipv4Addr{half_base(n.base, i, 0)},
+                                           i + 1));
+        }
+      }
+      if (free_below(n.base, n.len, cur, live, out)) {
+        out.resize(mark);
+        return true;
+      }
+      for (int i = n.len - 1; i >= len; --i) {
+        if (bit_at(n.base, i) == 0) {
+          out.push_back(Prefix::containing(Ipv4Addr{half_base(n.base, i, 1)},
+                                           i + 1));
+        }
+      }
+      return false;
+    }
+    // `cur` is the range itself.
+    if (n.has_value && live(values_[cur].v)) return false;  // covered
+    if (n.child[0] == kNull && n.child[1] == kNull) return true;
+    const std::uint32_t right = half_base(base, len, 1);
+    const bool left_free = free_below(base, len + 1, n.child[0], live, out);
+    if (left_free) {
+      out.push_back(Prefix::containing(Ipv4Addr{base}, len + 1));
+    }
+    const bool right_free = free_below(right, len + 1, n.child[1], live, out);
+    if (left_free && right_free) {
+      out.resize(mark);
+      return true;
+    }
+    if (right_free) {
+      out.push_back(Prefix::containing(Ipv4Addr{right}, len + 1));
+    }
+    return false;
+  }
+
+  /// Lowest free aligned /`slot_len` slot of the range (`base`, `len`),
+  /// with `len` <= `slot_len` and the same preconditions as free_below.
+  /// Writes its base to `slot` and returns true when one exists.
+  template <typename Live>
+  bool first_free_below(std::uint32_t base, int len, std::uint32_t cur,
+                        int slot_len, Live& live, std::uint32_t& slot) const {
+    if (len == slot_len) {  // the range is one slot
+      if (first_live(cur, live) != kNull) return false;
+      slot = base;
+      return true;
+    }
+    if (cur == kNull) {
+      slot = base;
+      return true;
+    }
+    const Node& n = nodes_[cur];
+    if (n.len > len) {
+      // Off-path halves are free. The lowest slot is in the shallowest
+      // half left of the path, else in (or over) `cur`'s range, else in
+      // the deepest half right of the path. Halves below slot_len are
+      // part of the one slot that holds `cur`.
+      const int stop = std::min<int>(n.len, slot_len);
+      for (int i = len; i < stop; ++i) {
+        if (bit_at(n.base, i) == 1) {
+          slot = half_base(n.base, i, 0);
+          return true;
+        }
+      }
+      if (first_free_below(mask_to(n.base, stop), stop, cur, slot_len, live,
+                           slot)) {
+        return true;
+      }
+      for (int i = stop - 1; i >= len; --i) {
+        if (bit_at(n.base, i) == 0) {
+          slot = half_base(n.base, i, 1);
+          return true;
+        }
+      }
+      return false;
+    }
+    // `cur` is the range itself.
+    if (n.has_value && live(values_[cur].v)) return false;  // covered
+    return first_free_below(base, len + 1, n.child[0], slot_len, live,
+                            slot) ||
+           first_free_below(half_base(base, len, 1), len + 1, n.child[1],
+                            slot_len, live, slot);
   }
 
   template <typename Fn>

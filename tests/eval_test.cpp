@@ -442,6 +442,22 @@ TEST(MascSim, ExchangeCountBeyondTopsStillWorks) {
   EXPECT_EQ(result.allocation_failures, 0);
 }
 
+TEST(MascSim, SmallRunOutcomeIsPinned) {
+  // The exact allocation outcome of the small run. Every free-space search
+  // (claim choice, block placement) feeds it, so a search that picks a
+  // different free prefix, or draws the RNG differently, moves one of these.
+  const MascSimResult result = run_masc_sim(small_params());
+  EXPECT_EQ(result.requests_served, 1443u);
+  const obs::Snapshot& m = result.final_metrics;
+  EXPECT_EQ(m.counter_value("masc.expansions_executed"), 278u);
+  EXPECT_EQ(m.histogram_stats("masc.claim_grant_latency").count, 278u);
+  EXPECT_EQ(m.histogram_stats("masc.collision_resolution_latency").count, 0u);
+  const MascSimSample& last = result.final_sample();
+  EXPECT_EQ(last.total_prefixes, 53u);
+  EXPECT_EQ(last.top_level_claimed, 204800u);
+  EXPECT_EQ(last.children_claimed, 141824u);
+}
+
 TEST(MascSim, RejectsEmptyHierarchy) {
   MascSimParams p;
   p.top_level_domains = 0;

@@ -3,7 +3,7 @@
 // flat interval list replaying the documented claim/fold semantics, and
 // DomainPool vs. exhaustive scans of its own published invariants —
 // blocks aligned, disjoint, inside active prefixes, and a request
-// succeeding exactly when a free aligned slot exists.
+// returning exactly the first-fit slot (failing exactly when none exists).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,8 +91,20 @@ class RegistryOracle {
     return out;
   }
 
-  /// Maximal free decomposition of `space` — same recursion as the
-  /// registry, but over the flat list's overlap predicate.
+  /// The claim algorithm's "first sub-prefix of the desired size in the
+  /// first large-enough free block", read off the decomposition.
+  [[nodiscard]] std::optional<Prefix> first_free(const Prefix& within,
+                                                 int len, SimTime now) const {
+    std::vector<Prefix> free;
+    free_prefixes(within, now, free);
+    for (const Prefix& block : free) {
+      if (block.length() <= len) return block.first_subprefix(len);
+    }
+    return std::nullopt;
+  }
+
+  /// Maximal free decomposition of `space`: split until a piece overlaps
+  /// no live claim (free) or lies inside one (taken), over the flat list.
   void free_prefixes(const Prefix& space, SimTime now,
                      std::vector<Prefix>& out) const {
     if (is_free(space, now)) {
@@ -164,9 +176,20 @@ TEST(RegistryOracle, RandomClaimChurnMatchesBruteForce) {
       const Prefix p = random_prefix();
       ASSERT_EQ(registry.is_free(p, now), oracle.is_free(p, now))
           << "is_free(" << p.to_string() << ") diverged at op " << op;
-      ASSERT_EQ(registry.conflicting(p, now).has_value(),
-                !oracle.is_free(p, now));
+      const auto hit = registry.conflicting(p, now);
+      ASSERT_EQ(hit.has_value(), !oracle.is_free(p, now));
+      if (hit) {  // a live claim that really overlaps the probe
+        ASSERT_TRUE(hit->first.overlaps(p));
+        ASSERT_EQ(oracle.owner_of(hit->first, now), hit->second.owner);
+      }
       ASSERT_EQ(registry.owner_of(p, now), oracle.owner_of(p, now));
+      // Slot lengths from the probe's own up to 6 bits deeper, drawn
+      // without the rng so the churn sequence stays as it was.
+      const int len = p.length() + (op + probe) % 7;
+      ASSERT_EQ(registry.first_free(p, len, now),
+                oracle.first_free(p, len, now))
+          << "first_free(" << p.to_string() << ", /" << len
+          << ") diverged at op " << op;
     }
     if (op % 200 == 0) {
       ASSERT_EQ(live_claims(registry, now), oracle.claims(now))
@@ -175,6 +198,11 @@ TEST(RegistryOracle, RandomClaimChurnMatchesBruteForce) {
       oracle.free_prefixes(space, now, expect);
       ASSERT_EQ(registry.free_prefixes(space, now), expect)
           << "free decomposition diverged at op " << op;
+      for (int len = 10; len <= 20; ++len) {
+        ASSERT_EQ(registry.first_free(space, len, now),
+                  oracle.first_free(space, len, now))
+            << "first_free(/" << len << ") diverged at op " << op;
+      }
     }
   }
 }
@@ -219,22 +247,28 @@ PoolModel snapshot(const DomainPool& pool, const std::set<std::uint64_t>& ids,
   return m;
 }
 
-/// Brute force: does any active prefix contain a free, aligned slot of
-/// `len`? (The pool's own first-fit placement must succeed iff this does.)
-bool slot_exists(const PoolModel& m, int len) {
+/// Brute force first fit: the lowest free aligned slot of `len` in the
+/// lowest-addressed active prefix that has one. The pool's placement must
+/// return exactly this slot, and fail exactly when there is none.
+std::optional<Prefix> first_fit_slot(const PoolModel& m, int len) {
+  std::vector<Prefix> active;
   for (const ClaimedPrefix& cp : m.prefixes) {
-    if (!cp.active || cp.prefix.length() > len) continue;
-    const std::uint64_t slots = 1ull << (len - cp.prefix.length());
+    if (cp.active) active.push_back(cp.prefix);
+  }
+  std::sort(active.begin(), active.end());
+  for (const Prefix& held : active) {
+    if (held.length() > len) continue;
+    const std::uint64_t slots = 1ull << (len - held.length());
     for (std::uint64_t s = 0; s < slots; ++s) {
-      const Prefix candidate = cp.prefix.subprefix_at(len, s);
+      const Prefix candidate = held.subprefix_at(len, s);
       const bool occupied =
           std::any_of(m.blocks.begin(), m.blocks.end(), [&](const Block& b) {
             return b.range.overlaps(candidate);
           });
-      if (!occupied) return true;
+      if (!occupied) return candidate;
     }
   }
-  return false;
+  return std::nullopt;
 }
 
 TEST(PoolOracle, RandomBlockChurnKeepsPublishedInvariants) {
@@ -245,10 +279,11 @@ TEST(PoolOracle, RandomBlockChurnKeepsPublishedInvariants) {
   net::Rng rng(0xB10C5ull);
   SimTime now = SimTime::seconds(0);
 
-  // Hand the pool a few /24s out of disjoint space, as MASC would.
+  // Hand the pool a few /24s out of disjoint space, as MASC would, out of
+  // address order so that first fit must order the held prefixes itself.
   const std::vector<Prefix> claimable = {
-      Prefix::parse("224.1.1.0/24"), Prefix::parse("224.1.3.0/24"),
-      Prefix::parse("224.9.0.0/24"), Prefix::parse("225.4.4.0/24")};
+      Prefix::parse("224.9.0.0/24"), Prefix::parse("224.1.3.0/24"),
+      Prefix::parse("225.4.4.0/24"), Prefix::parse("224.1.1.0/24")};
   std::size_t next_claim = 0;
   pool.add_prefix(claimable[next_claim++], now + SimTime::days(30));
 
@@ -263,10 +298,14 @@ TEST(PoolOracle, RandomBlockChurnKeepsPublishedInvariants) {
       const PoolModel before = snapshot(pool, live, issued);
       const SimTime lifetime = SimTime::seconds(rng.uniform_int(60, 3600));
       const auto block = pool.request_block(addresses, now, lifetime);
-      ASSERT_EQ(block.has_value(), slot_exists(before, len))
+      const std::optional<Prefix> expect = first_fit_slot(before, len);
+      ASSERT_EQ(block.has_value(), expect.has_value())
           << "request_block(" << addresses << ") at op " << op
           << " disagrees with the brute-force free-slot scan";
       if (block) {
+        EXPECT_EQ(block->range, *expect)
+            << "request_block(" << addresses << ") at op " << op
+            << " is not the first-fit slot";
         // Aligned, correctly sized, inside an active prefix, disjoint from
         // every other live block.
         EXPECT_EQ(block->range.length(), len);

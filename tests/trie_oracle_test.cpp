@@ -2,9 +2,12 @@
 // std::map oracle, over randomized insert/erase/lookup sequences shaped
 // like the library's real workloads — nested claim hierarchies, doubling
 // (parent/sibling) patterns, and plain scatter. Every divergence in
-// find/longest_match/overlaps_any/entries is a trie bug by construction.
+// find/longest_match/overlaps_any/entries, or in the filtered free-space
+// searches (first_overlap/free_within/first_free, with odd values filtered
+// out), is a trie bug by construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <utility>
@@ -61,6 +64,72 @@ class Oracle {
       if (pv.first.overlaps(p)) return true;
     }
     return false;
+  }
+
+  // The filtered searches, with `live` a predicate on the stored value.
+
+  [[nodiscard]] std::optional<std::pair<Prefix, int>> first_overlap(
+      const Prefix& p, bool (*live)(int)) const {
+    std::optional<std::pair<Prefix, int>> outer;  // shortest container
+    std::optional<std::pair<Prefix, int>> inner;  // first inside, map order
+    for (const auto& [k, pv] : map_) {
+      if (!live(pv.second)) continue;
+      if (pv.first.contains(p)) {
+        if (!outer || pv.first.length() < outer->first.length()) outer = pv;
+      } else if (p.contains(pv.first) && !inner) {
+        inner = pv;
+      }
+    }
+    return outer ? outer : inner;
+  }
+
+  void free_within(const Prefix& space, bool (*live)(int),
+                   std::vector<Prefix>& out) const {
+    std::vector<Prefix> taken;
+    for (const auto& [k, pv] : map_) {
+      if (live(pv.second)) taken.push_back(pv.first);
+    }
+    decompose(space, taken, out);
+  }
+
+  /// Splits `space` until a piece overlaps nothing in `taken` (free) or
+  /// lies inside one of them (taken whole).
+  static void decompose(const Prefix& space, const std::vector<Prefix>& taken,
+                        std::vector<Prefix>& out) {
+    std::vector<Prefix> overlapping;
+    for (const Prefix& t : taken) {
+      if (t.contains(space)) return;
+      if (t.overlaps(space)) overlapping.push_back(t);
+    }
+    if (overlapping.empty()) {
+      out.push_back(space);
+      return;
+    }
+    decompose(space.left_child(), overlapping, out);
+    decompose(space.right_child(), overlapping, out);
+  }
+
+  /// Scans every aligned slot of `within` in address order.
+  [[nodiscard]] std::optional<Prefix> first_free(const Prefix& within,
+                                                 int len,
+                                                 bool (*live)(int)) const {
+    if (len < within.length()) return std::nullopt;
+    std::vector<Prefix> taken;  // the live entries that can block a slot
+    for (const auto& [k, pv] : map_) {
+      if (live(pv.second) && pv.first.overlaps(within)) {
+        taken.push_back(pv.first);
+      }
+    }
+    const std::uint64_t slots = std::uint64_t{1} << (len - within.length());
+    for (std::uint64_t s = 0; s < slots; ++s) {
+      const Prefix slot = within.subprefix_at(len, s);
+      if (std::none_of(taken.begin(), taken.end(), [&](const Prefix& t) {
+            return t.overlaps(slot);
+          })) {
+        return slot;
+      }
+    }
+    return std::nullopt;
   }
 
   /// Entries in trie traversal order: base ascending, ancestors first.
@@ -156,6 +225,33 @@ class PrefixSource {
   std::vector<Prefix> recent_;
 };
 
+/// The filter for the free-space searches: odd values count as absent.
+bool even(int v) { return v % 2 == 0; }
+
+/// Compares the filtered searches at `p`, with slots up to `extra` bits
+/// longer than `p`.
+void check_filtered(const PrefixTrie<int>& trie, const Oracle& oracle,
+                    const Prefix& p, int extra) {
+  const auto hit = trie.first_overlap(p, even);
+  const auto want = oracle.first_overlap(p, even);
+  ASSERT_EQ(hit.has_value(), want.has_value()) << p.to_string();
+  if (hit) {
+    EXPECT_EQ(hit->first, want->first) << p.to_string();
+    EXPECT_EQ(*hit->second, want->second);
+  }
+  std::vector<Prefix> got;
+  trie.free_within(p, even, got);
+  std::vector<Prefix> expect;
+  oracle.free_within(p, even, expect);
+  ASSERT_EQ(got, expect) << "free_within(" << p.to_string() << ")";
+  const int len = std::min(32, p.length() + extra);
+  ASSERT_EQ(trie.first_free(p, len, even), oracle.first_free(p, len, even))
+      << "first_free(" << p.to_string() << ", /" << len << ")";
+  if (p.length() > 0) {  // a slot longer than the space never fits
+    ASSERT_EQ(trie.first_free(p, p.length() - 1, even), std::nullopt);
+  }
+}
+
 void check_equivalent(const PrefixTrie<int>& trie, const Oracle& oracle,
                       PrefixSource& source, int probes) {
   ASSERT_EQ(trie.size(), oracle.size());
@@ -206,10 +302,14 @@ TEST(TrieOracle, RandomizedMutationsMatchBruteForce) {
         const auto olm = oracle.longest_match(p);
         ASSERT_EQ(lm.has_value(), olm.has_value()) << p.to_string();
         if (lm.has_value()) EXPECT_EQ(lm->first, olm->first);
-      } else {  // overlap query
+      } else {  // overlap query, plain and filtered
         const Prefix p = source.next();
         ASSERT_EQ(trie.overlaps_any(p), oracle.overlaps_any(p))
             << "step " << step << " overlaps " << p.to_string();
+        check_filtered(trie, oracle, p, step % 9);
+        // And over the enclosing space, where whole subtrees nest.
+        check_filtered(trie, oracle, Prefix::containing(p.base(), 6),
+                       4 + step % 9);
       }
       if (step % 500 == 499) check_equivalent(trie, oracle, source, 64);
     }
